@@ -27,12 +27,15 @@ cover:
 # over the packages with intra-query parallelism and durability (executor,
 # engine — including the crash-recovery suite in durable_test.go — the
 # resource governor, and the write-ahead log), and the bench-regression
-# gate against the recorded baseline.
+# gate against the recorded baseline. The repeated race run stresses the
+# admission queue, commit against vacuum, and intern compaction against
+# appends, whose races show only on some interleavings.
 check: fmt-check
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/exec/... ./internal/engine/... ./internal/resource/... ./internal/storage/... ./internal/vec/... ./internal/wal/... ./internal/wire/... ./internal/opt/... ./internal/catalog/...
+	$(GO) test -race -count=20 -run 'Admission|Txn|Vacuum|Compact' ./internal/resource/ ./internal/engine/ ./internal/storage/
 	$(MAKE) bench-check
 
 # gofmt as a gate: print offending files and fail if any exist.

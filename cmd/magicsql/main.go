@@ -531,8 +531,8 @@ func (sh *shell) printResult(res *engine.Result) {
 		}
 	}
 	fmt.Fprintf(sh.out, "(%d rows)\n", len(res.Rows))
-	if sh.showPlan && res.Plan.Physical != "" {
-		fmt.Fprint(sh.out, res.Plan.Physical)
+	if sh.showPlan && res.Plan.Physical() != "" {
+		fmt.Fprint(sh.out, res.Plan.Physical())
 	}
 	if sh.timing {
 		fmt.Fprintf(sh.out, "optimize %v, execute %v (strategy %s, emst-plan=%v)\n",

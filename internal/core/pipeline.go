@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"starmagic/internal/datum"
 	"starmagic/internal/obs"
 	"starmagic/internal/opt"
 	"starmagic/internal/plan"
@@ -55,10 +56,15 @@ type EstimatorConfig struct {
 	Hints map[string]float64
 	// NoHist disables histogram probes (flat-default selectivities).
 	NoHist bool
+	// Params are peeked bindings of the query's `?` placeholders, read by
+	// estimates only; see opt.Estimator.Params.
+	Params datum.Row
 }
 
 func (c EstimatorConfig) new() *opt.Estimator {
-	return opt.NewEstimatorWith(c.Hints, c.NoHist)
+	e := opt.NewEstimatorWith(c.Hints, c.NoHist)
+	e.Params = c.Params
+	return e
 }
 
 // Ablations switches off individual EMST design decisions so their

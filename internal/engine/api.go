@@ -54,6 +54,10 @@ type queryConfig struct {
 	hints map[string]float64
 	// forceEMST skips the cost comparison and executes the magic plan.
 	forceEMST bool
+	// peek carries the bindings a plan variant is optimized for: the
+	// estimators read them, the plan keeps its `?` nodes. Set internally
+	// by the variant path; there is no public option.
+	peek datum.Row
 }
 
 // WithStrategy selects the optimization/execution strategy (default EMST).
@@ -63,10 +67,12 @@ func WithStrategy(s Strategy) QueryOption {
 
 // WithArgs binds values to the query's `?` placeholders in left-to-right
 // order. Supported Go types: nil, bool, int, int32, int64, float32, float64,
-// string, and datum.D. Because a parameterized plan's shape — including the
-// magic seed the EMST transformation installs — does not depend on the bound
-// values, one cached plan serves every binding; only execution sees the
-// values.
+// string, and datum.D. The values do not change the prepared plan: every
+// plan of a parameterized statement is correct for any binding. Each
+// execution, though, classes its values by the selectivity of the
+// comparisons they take part in and runs the plan variant optimized for
+// that class — magic or not, per the §3.2 cost comparison made with those
+// values peeked (see PlanInfo.Variant).
 func WithArgs(args ...any) QueryOption {
 	row, err := toDatumRow(args)
 	return func(c *queryConfig) { c.args, c.hasArgs, c.argsErr = row, true, err }
@@ -293,6 +299,9 @@ func (db *Database) prepareCold(ctx context.Context, query string, cfg queryConf
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// DDL advances the epoch under the write lock, so this is the epoch of
+	// the catalog the query binds to.
+	epoch := db.epoch.Load()
 
 	explain := &ExplainInfo{Query: query, Strategy: cfg.strategy}
 	// timed wraps the pre-pipeline phases (parse, bind) in a span and a
@@ -339,7 +348,7 @@ func (db *Database) prepareCold(ctx context.Context, query string, cfg queryConf
 			Snapshots: cfg.snapshots,
 			Ctx:       ctx,
 			Tracer:    cfg.tracer,
-			Est:       core.EstimatorConfig{Hints: cfg.hints, NoHist: db.noHist.Load()},
+			Est:       core.EstimatorConfig{Hints: cfg.hints, NoHist: db.noHist.Load(), Params: cfg.peek},
 			ForceEMST: cfg.forceEMST,
 		})
 		if res != nil {
@@ -391,6 +400,10 @@ func (db *Database) prepareCold(ctx context.Context, query string, cfg queryConf
 			ruleFires[r.Rule] = r.Fires
 		}
 	}
+	var variants *variantSet
+	if phys != nil && numParams > 0 && cfg.peek == nil && cfg.strategy != Correlated {
+		variants = newVariantSet(query, cfg, opt.ParamCmps(g, maxVariantCmps), epoch)
+	}
 	return &Prepared{
 		db:        db,
 		graph:     g,
@@ -404,7 +417,8 @@ func (db *Database) prepareCold(ctx context.Context, query string, cfg queryConf
 		ruleFires: ruleFires,
 		// The feedback record inherits the hints this plan was optimized
 		// with, so successive re-optimizations accumulate observations.
-		fb: newFeedbackState(phys, cfg.hints),
+		fb:       newFeedbackState(phys, cfg.hints),
+		variants: variants,
 	}, nil
 }
 
@@ -477,7 +491,7 @@ func (db *Database) prepareCorrelated(ctx context.Context, g *qgm.Graph, cfg que
 // runs it and the result carries per-operator counters; WithMaterialized
 // falls back to box-at-a-time evaluation. Optional args bind the query's
 // `?` placeholders for this run only, overriding WithArgs values captured
-// at prepare time; the cached plan itself is binding-invariant.
+// at prepare time, and pick the plan variant the run executes.
 func (p *Prepared) ExecuteContext(ctx context.Context, args ...any) (*Result, error) {
 	r, err := p.ExecuteRows(ctx, args...)
 	if err != nil {

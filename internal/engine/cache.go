@@ -3,10 +3,13 @@ package engine
 // Plan cache: prepared plans keyed by normalized SQL text + strategy, so
 // parameterized queries amortize the two-pass EMST optimization (phase-1,
 // magic transformation, phase-3, and both plan-optimization passes) across
-// executions. Because `?` placeholders are opaque constants in the QGM —
-// they add no quantifiers and no correlation — a plan's shape, including the
-// magic seed box the EMST transformation installs, is identical for every
-// binding, so one cached plan serves them all.
+// executions. `?` placeholders are opaque constants in the QGM — they add
+// no quantifiers and no correlation — so every plan of a statement is
+// correct for every binding. Which plan is cheapest does depend on the
+// binding, though: a statement whose placeholders meet columns in
+// comparisons carries bind-aware plan variants (variants.go) next to its
+// generic plan, and the cache stores them with the entry, so every caller
+// of the entry shares them.
 //
 // The cache is sharded to keep hot prepares from contending on one mutex,
 // each shard is a bounded LRU, and misses are single-flighted: concurrent

@@ -82,22 +82,26 @@ func (db *Database) RecoveryStats() (time.Duration, int64) {
 	return time.Duration(db.recoveryNanos), db.recoveryRecords
 }
 
-// logCommitLocked appends the transaction's write set as one commit record.
-// Called under commitMu after every stamp is in place, so the record order
-// in the log equals commit-timestamp order, and the logged begin stamps of
-// deleted versions are final.
-func (db *Database) logCommitLocked(ts uint64, writes []txnWrite) (uint64, error) {
-	ops := make([]wal.Op, len(writes))
-	for i, w := range writes {
+// walOps captures the write set as the operations of one commit record,
+// reading each version while the transaction's unresolved markers still
+// pin its position. A deleted version this transaction inserted itself
+// carries the transaction id as its begin stamp until commit; it is logged
+// with ts, the stamp replay gives the insert.
+func (t *Txn) walOps(ts uint64) []wal.Op {
+	ops := make([]wal.Op, len(t.writes))
+	for i, w := range t.writes {
 		row, begin := w.rel.VersionData(w.pos)
 		op := wal.Op{Table: w.rel.Meta.Name, Row: row}
 		if !w.insert {
+			if begin == t.id {
+				begin = ts
+			}
 			op.Delete = true
 			op.Begin = begin
 		}
 		ops[i] = op
 	}
-	return db.wal.AppendCommit(ts, ops)
+	return ops
 }
 
 // logDDL makes one schema statement durable before the DDL returns. Called

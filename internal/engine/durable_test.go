@@ -602,3 +602,65 @@ func equalStrings(a, b []string) bool {
 	}
 	return true
 }
+
+// TestTxnCommitConcurrentVacuum commits single-row UPDATEs on a durable
+// database while another goroutine vacuums in a loop. Stamping a write
+// releases its relation's in-flight count, so a vacuum may compact the
+// relation before the commit record is built; the record must therefore be
+// captured first. Otherwise the log names the wrong version or the commit
+// panics while holding the commit mutex. Recovery must reproduce the final
+// image exactly.
+func TestTxnCommitConcurrentVacuum(t *testing.T) {
+	dir := t.TempDir()
+	db := openDir(t, dir)
+	db.SetDurability(wal.SyncNever)
+	mustExecT(t, db, "CREATE TABLE acct (id INT, bal INT, PRIMARY KEY (id))")
+	for i := 0; i < 50; i++ {
+		mustExecT(t, db, fmt.Sprintf("INSERT INTO acct VALUES (%d, 0)", i))
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				db.Vacuum()
+			}
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		tx := db.Begin()
+		if _, err := tx.Exec(fmt.Sprintf("UPDATE acct SET bal = %d WHERE id = %d", i, i%50)); err != nil {
+			close(stop)
+			wg.Wait()
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			close(stop)
+			wg.Wait()
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	// A transaction that deletes a version it inserted itself logs the
+	// delete against the commit stamp replay gives that insert.
+	tx := db.Begin()
+	if _, err := tx.Exec("UPDATE acct SET bal = -1 WHERE id = 1; UPDATE acct SET bal = -2 WHERE id = 1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := tableImage(t, db, "acct")
+	closeDB(t, db)
+	db2 := openDir(t, dir)
+	defer closeDB(t, db2)
+	if got := tableImage(t, db2, "acct"); !equalStrings(got, want) {
+		t.Fatalf("recovered image differs:\n got %q\nwant %q", got, want)
+	}
+}

@@ -543,10 +543,9 @@ type PlanInfo struct {
 	Counters        exec.Counters
 	OptimizeTime    time.Duration
 	ExecTime        time.Duration
-	// Physical renders the physical operator tree with this run's
-	// per-operator rows/batches/time; Operators is the structured form
-	// (depth-first). Both are empty for materialized (box-at-a-time) runs.
-	Physical  string
+	// Operators is the physical operator tree with this run's per-operator
+	// rows/batches/time, depth-first; Physical renders the same as text.
+	// Both are empty for materialized (box-at-a-time) runs.
 	Operators []plan.OpReport
 	// Mem is the run's memory-governance footprint; the zero value means
 	// the run executed without a budget.
@@ -559,6 +558,25 @@ type PlanInfo struct {
 	// feedback loop re-optimizes cached plans whose smoothed value exceeds
 	// 8x.
 	MaxQError float64
+	// Variant names the bind-aware plan variant this run executed: one
+	// ⌊log2 selectivity⌋ class per comparison between a column and a `?`,
+	// under the run's bindings. Empty when the generic plan ran.
+	Variant string
+
+	// phys and opStats are the executed plan and its per-operator counters,
+	// kept raw so that Physical renders text only when it is read.
+	phys    *plan.Plan
+	opStats []plan.OpStats
+}
+
+// Physical renders the executed physical operator tree with this run's
+// per-operator rows/batches/time ("" for materialized runs). The text is
+// built on each call; executions themselves never format it.
+func (pi *PlanInfo) Physical() string {
+	if pi.phys == nil || pi.opStats == nil {
+		return ""
+	}
+	return pi.phys.Format(pi.opStats)
 }
 
 // MemInfo is one budgeted execution's memory footprint.
@@ -607,6 +625,10 @@ type Prepared struct {
 	// shallow copies withConfig makes of a cached plan (nil for
 	// materialized-only plans with no physical tree).
 	fb *feedbackState
+	// variants holds the bind-aware plans of a statement whose `?`
+	// placeholders meet columns in comparisons (nil otherwise), shared
+	// like fb.
+	variants *variantSet
 }
 
 // Prepare parses, binds and optimizes a query for repeated execution.

@@ -39,7 +39,7 @@ type ExplainInfo struct {
 	JoinOrders []JoinOrder
 	// Physical renders the lowered physical operator tree (cardinality
 	// estimates only — per-operator execution counters appear on
-	// Result.Plan.Physical after a run); Operators is the structured form.
+	// Result.Plan.Physical() after a run); Operators is the structured form.
 	Physical  string
 	Operators []plan.OpReport
 	// PlanDOT is the Graphviz rendering of the executed plan (captured with

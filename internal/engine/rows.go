@@ -39,6 +39,11 @@ import (
 type Rows struct {
 	p   *Prepared
 	ctx context.Context
+	// phys is the physical plan this execution runs: the statement's own,
+	// or the plan variant its bindings picked. fb is phys's feedback record
+	// (nil for variants, which do not learn from execution).
+	phys *plan.Plan
+	fb   *feedbackState
 
 	// Exactly one of iter (streaming physical plan) or mat (materialized
 	// box-at-a-time fallback) feeds the cursor.
@@ -103,7 +108,12 @@ func (p *Prepared) executeRowsIn(ctx context.Context, t *Txn, args ...any) (*Row
 	// Admission control gates execution only — the plan is already prepared
 	// at this point, so a queued execution never holds plan-cache state (in
 	// particular it cannot interact with a single-flight cold prepare).
-	r := &Rows{p: p, ctx: ctx, info: p.info}
+	r := &Rows{p: p, ctx: ctx, phys: p.phys, fb: p.fb, info: p.info}
+	if p.variants != nil && !p.cfg.materialized {
+		if v := p.variants.pick(ctx, p.db, bound); v != nil {
+			r.phys, r.fb, r.info = v.phys, nil, v.info
+		}
+	}
 	if p.db.gov.AdmissionEnabled() && !p.cfg.noAdmission {
 		release, waited, err := p.db.gov.Admit(ctx)
 		if err != nil {
@@ -157,8 +167,8 @@ func (p *Prepared) executeRowsIn(ctx context.Context, t *Txn, args ...any) (*Row
 	r.sp = obs.Start(p.cfg.tracer, "execute")
 	r.start = time.Now()
 
-	if p.phys != nil && !p.cfg.materialized {
-		it, err := ev.OpenPlan(p.phys)
+	if r.phys != nil && !p.cfg.materialized {
+		it, err := ev.OpenPlan(r.phys)
 		if err != nil {
 			r.iter = it // may carry partial stats
 			r.fail(err)
@@ -349,8 +359,8 @@ func (r *Rows) finish(execErr error) {
 	if r.iter != nil {
 		opStats = r.iter.Stats()
 	}
-	if opStats != nil && r.p.phys != nil {
-		reports = r.p.phys.Report(opStats)
+	if opStats != nil && r.phys != nil {
+		reports = r.phys.Report(opStats)
 	}
 	mem := MemInfo{
 		LimitBytes:   r.bud.Limit(),
@@ -377,16 +387,16 @@ func (r *Rows) finish(execErr error) {
 	r.info.Counters = ev.Counters
 	r.info.Mem = mem
 	r.info.AdmissionWait = r.admissionWait
-	if opStats != nil && r.p.phys != nil {
-		r.info.Physical = r.p.phys.Format(opStats)
+	if opStats != nil && r.phys != nil {
+		r.info.phys, r.info.opStats = r.phys, opStats
 		r.info.Operators = reports
-		r.info.MaxQError = r.p.phys.MaxQError(opStats)
+		r.info.MaxQError = r.phys.MaxQError(opStats)
 		// Execution feedback only learns from fully-drained, error-free runs:
 		// an early-Closed cursor or a LIMIT plan reports truncated actuals
 		// that would poison the learned cardinalities.
-		if execErr == nil && r.exhausted && r.p.fb != nil &&
-			r.p.db.FeedbackEnabled() && !r.p.phys.HasLimit() {
-			maxQ, marked := r.p.fb.observe(r.p.phys, opStats)
+		if execErr == nil && r.exhausted && r.fb != nil &&
+			r.p.db.FeedbackEnabled() && !r.phys.HasLimit() {
+			maxQ, marked := r.fb.observe(r.phys, opStats)
 			r.p.db.metrics.RecordFeedback(maxQ, marked)
 		}
 	}

@@ -118,8 +118,8 @@ func TestSpillCountersSurface(t *testing.T) {
 	if res.Plan.Mem.Spills == 0 || res.Plan.Mem.SpilledBytes == 0 {
 		t.Fatalf("run under 2KB budget reports no spills: %+v", res.Plan.Mem)
 	}
-	if !strings.Contains(res.Plan.Physical, "spills=") {
-		t.Fatalf("physical plan missing spill counters:\n%s", res.Plan.Physical)
+	if !strings.Contains(res.Plan.Physical(), "spills=") {
+		t.Fatalf("physical plan missing spill counters:\n%s", res.Plan.Physical())
 	}
 	var attributed int64
 	for _, op := range res.Plan.Operators {

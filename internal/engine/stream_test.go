@@ -47,10 +47,10 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 			if err != nil {
 				t.Fatalf("query %d %q: streaming: %v", i, query, err)
 			}
-			if res.Plan.Physical == "" {
+			if res.Plan.Physical() == "" {
 				t.Fatalf("query %d %q: streaming run reports no physical plan", i, query)
 			}
-			if ref.Plan.Physical != "" {
+			if ref.Plan.Physical() != "" {
 				t.Fatalf("query %d %q: materialized run reports a physical plan", i, query)
 			}
 			got := strings.Join(rowsAsStrings(res), ";")
@@ -253,11 +253,11 @@ func TestExplainPhysicalTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan.Physical == "" {
+	if res.Plan.Physical() == "" {
 		t.Fatal("executed result has no physical plan")
 	}
-	if !strings.Contains(res.Plan.Physical, "rows=") {
-		t.Fatalf("executed plan missing per-operator counters:\n%s", res.Plan.Physical)
+	if !strings.Contains(res.Plan.Physical(), "rows=") {
+		t.Fatalf("executed plan missing per-operator counters:\n%s", res.Plan.Physical())
 	}
 	var rooted bool
 	for _, op := range res.Plan.Operators {

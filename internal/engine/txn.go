@@ -22,6 +22,7 @@ import (
 	"starmagic/internal/semant"
 	"starmagic/internal/sql"
 	"starmagic/internal/storage"
+	"starmagic/internal/wal"
 )
 
 // vacuumThreshold is the number of reclaimable row versions that triggers a
@@ -79,29 +80,7 @@ func (t *Txn) Commit() error {
 		db.metrics.RecordTxnCommit()
 		return nil
 	}
-	db.commitMu.Lock()
-	ts := db.commitTS.Load() + 1
-	var deletes int64
-	for _, w := range t.writes {
-		if w.insert {
-			w.rel.FinishAppend(w.pos, ts)
-		} else {
-			w.rel.FinishDelete(w.pos, ts)
-			deletes++
-		}
-	}
-	// Log the commit while still holding the commit mutex: every stamp is
-	// final, and the record lands in the write-ahead log in commit-timestamp
-	// order. This only buffers — the fsync wait happens after the mutex is
-	// released, so the disk is never inside the commit critical section and
-	// concurrent committers share one group-commit fsync.
-	var walSeq uint64
-	var walErr error
-	if db.wal != nil {
-		walSeq, walErr = db.logCommitLocked(ts, t.writes)
-	}
-	db.commitTS.Store(ts)
-	db.commitMu.Unlock()
+	walSeq, deletes, walErr := t.publish()
 	db.statsDirty.Store(true)
 	db.metrics.RecordTxnCommit()
 	if deletes > 0 {
@@ -120,6 +99,38 @@ func (t *Txn) Commit() error {
 		}
 	}
 	return nil
+}
+
+// publish stamps every staged version with the next commit timestamp and,
+// on a durable database, buffers the commit record, all under the commit
+// mutex. The record is built before any stamp: stamping releases the
+// relations' in-flight counts, after which a background vacuum may compact
+// them and move the positions the write set names. Logging here, in
+// commit-timestamp order, only buffers — the fsync wait happens after the
+// mutex is released, so the disk is never inside the commit critical
+// section and concurrent committers share one group-commit fsync.
+func (t *Txn) publish() (walSeq uint64, deletes int64, walErr error) {
+	db := t.db
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	ts := db.commitTS.Load() + 1
+	var ops []wal.Op
+	if db.wal != nil {
+		ops = t.walOps(ts)
+	}
+	for _, w := range t.writes {
+		if w.insert {
+			w.rel.FinishAppend(w.pos, ts)
+		} else {
+			w.rel.FinishDelete(w.pos, ts)
+			deletes++
+		}
+	}
+	if db.wal != nil {
+		walSeq, walErr = db.wal.AppendCommit(ts, ops)
+	}
+	db.commitTS.Store(ts)
+	return walSeq, deletes, walErr
 }
 
 // Rollback discards the transaction's writes: staged inserts become

@@ -51,7 +51,7 @@ func TestVectorizedSmoke(t *testing.T) {
 			}
 		}
 		if !vectorized {
-			t.Errorf("%q: no vectorized operator in plan:\n%s", tc.query, res.Plan.Physical)
+			t.Errorf("%q: no vectorized operator in plan:\n%s", tc.query, res.Plan.Physical())
 		}
 	}
 

@@ -160,6 +160,16 @@ func (hb *hashBuilder) add(key []byte, row datum.Row) {
 	hb.buckets = append(hb.buckets, []datum.Row{row})
 }
 
+// table returns the builder's buckets as a join hash table sized by the
+// distinct-key count. The buckets move into the table without a copy.
+func (hb *hashBuilder) table() map[string][]datum.Row {
+	ht := make(map[string][]datum.Row, len(hb.buckets))
+	for k, i := range hb.idx {
+		ht[k] = hb.buckets[i]
+	}
+	return ht
+}
+
 // mergeInto appends the builder's buckets into dst. Called per builder in
 // partition order, it reproduces exactly the bucket row order of a serial
 // build.
@@ -205,14 +215,15 @@ func (ev *Evaluator) buildHashTable(q *qgm.Quantifier, keyExprs []qgm.Expr, rows
 	if n := len(rows) / parallelBuildMinRows; workers > n {
 		workers = n // at least parallelBuildMinRows rows per worker
 	}
-	ht := make(map[string][]datum.Row, len(rows))
 	if workers <= 1 {
-		hb := newHashBuilder(len(rows))
+		// The key count is unknown up front and usually far below the row
+		// count, so the index grows as keys arrive instead of being sized
+		// by rows.
+		hb := newHashBuilder(0)
 		if err := buildHashRange(hb, q, keyExprs, rows, cur.clone()); err != nil {
 			return nil, err
 		}
-		hb.mergeInto(ht)
-		return ht, nil
+		return hb.table(), nil
 	}
 
 	parts := make([]*hashBuilder, workers)
@@ -233,6 +244,7 @@ func (ev *Evaluator) buildHashTable(q *qgm.Quantifier, keyExprs []qgm.Expr, rows
 		}(w, rows[lo:hi])
 	}
 	wg.Wait()
+	ht := make(map[string][]datum.Row, len(rows))
 	for w := 0; w < workers; w++ {
 		if errs[w] != nil {
 			return nil, errs[w]

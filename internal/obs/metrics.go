@@ -1,6 +1,9 @@
 package obs
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // ExecStats mirrors the executor's work counters in a dependency-free form
 // (internal/exec cannot be imported here without a cycle; the engine copies
@@ -190,6 +193,15 @@ type Metrics struct {
 	CacheMisses    int64 `json:"cache_misses"`
 	CacheShared    int64 `json:"cache_shared"`
 	CacheEvictions int64 `json:"cache_evictions"`
+	// Bind-aware plan-variant counters for prepared statements with `?`
+	// comparisons. VariantHits counts executions served by a stored
+	// variant, VariantMisses variants optimized cold, and VariantOverflow
+	// executions that ran the generic plan because their statement could
+	// take no new variant (its set was full, or DDL or ANALYZE ran since it
+	// was prepared).
+	VariantHits     int64 `json:"variant_hits"`
+	VariantMisses   int64 `json:"variant_misses"`
+	VariantOverflow int64 `json:"variant_overflow"`
 	// Memory-governance counters. BytesSpilled/Spills accumulate spill-to-
 	// disk traffic across budgeted executions; MemPeakBytes is the largest
 	// single-query reservation high-water mark observed.
@@ -239,7 +251,20 @@ type Metrics struct {
 type MetricsSink struct {
 	mu sync.Mutex
 	m  Metrics
+	// The variant counters sit on every execution of a statement with `?`
+	// comparisons, so they are atomics rather than fields behind mu.
+	variantHits, variantMisses, variantOverflow atomic.Int64
 }
+
+// RecordVariantHit counts an execution served by a stored plan variant.
+func (s *MetricsSink) RecordVariantHit() { s.variantHits.Add(1) }
+
+// RecordVariantMiss counts a plan variant optimized cold.
+func (s *MetricsSink) RecordVariantMiss() { s.variantMisses.Add(1) }
+
+// RecordVariantOverflow counts an execution that ran the generic plan
+// because its statement could take no new variant.
+func (s *MetricsSink) RecordVariantOverflow() { s.variantOverflow.Add(1) }
 
 // RecordPlan folds one optimization's sample into the sink.
 func (s *MetricsSink) RecordPlan(p PlanSample) {
@@ -411,6 +436,9 @@ func (s *MetricsSink) Snapshot() Metrics {
 	out.RuleFires = copyMap(s.m.RuleFires)
 	out.OpRows = copyMap(s.m.OpRows)
 	out.OpNanos = copyMap(s.m.OpNanos)
+	out.VariantHits = s.variantHits.Load()
+	out.VariantMisses = s.variantMisses.Load()
+	out.VariantOverflow = s.variantOverflow.Load()
 	return out
 }
 
@@ -418,6 +446,9 @@ func (s *MetricsSink) Snapshot() Metrics {
 func (s *MetricsSink) Reset() {
 	s.mu.Lock()
 	s.m = Metrics{}
+	s.variantHits.Store(0)
+	s.variantMisses.Store(0)
+	s.variantOverflow.Store(0)
 	s.mu.Unlock()
 }
 

@@ -41,6 +41,11 @@ type Estimator struct {
 	// (defaultNDVFrac and the fixed comparison selectivities). Used for
 	// flat-baseline comparisons in tests and benchmarks.
 	NoHist bool
+	// Params are peeked bindings of the graph's `?` placeholders. They feed
+	// estimates only: a comparison between a column and a `?` is costed
+	// like one against the bound literal. The graph keeps its Param nodes,
+	// so a plan optimized under one binding stays correct for every other.
+	Params datum.Row
 }
 
 // NewEstimator returns a fresh estimator (statistics are read from the
@@ -296,87 +301,118 @@ func (e *Estimator) Selectivity(b *qgm.Box, pred qgm.Expr) float64 {
 	return defaultSel
 }
 
-// colConst decomposes cmp into a column reference and a constant, flipping
-// the operator so the column is on the left. ok is false when cmp is not a
-// column-vs-constant comparison.
-func colConst(cmp *qgm.Cmp) (cr *qgm.ColRef, c *qgm.Const, op datum.CmpOp, ok bool) {
-	col, konst := cmp.L, cmp.R
-	op = cmp.Op
-	if _, isCol := col.(*qgm.ColRef); !isCol {
-		col, konst = cmp.R, cmp.L
-		op = op.Flip()
+// colSide splits cmp into a column reference and the other side, flipping
+// the operator so the column is on the left. ok is false when neither side
+// is a column.
+func colSide(cmp *qgm.Cmp) (cr *qgm.ColRef, other qgm.Expr, op datum.CmpOp, ok bool) {
+	if cr, ok := cmp.L.(*qgm.ColRef); ok {
+		return cr, cmp.R, cmp.Op, true
 	}
-	cr, crOK := col.(*qgm.ColRef)
-	c, cOK := konst.(*qgm.Const)
-	if !crOK || !cOK || c.Val.IsNull() {
-		return nil, nil, op, false
-	}
-	return cr, c, op, true
+	cr, ok = cmp.R.(*qgm.ColRef)
+	return cr, cmp.L, cmp.Op.Flip(), ok
 }
 
-// histEqSel answers column = constant from the column's equi-depth
-// histogram. Interned-string columns work the same as numerics here: the
-// histogram buckets hold the string datums themselves (interned ids are an
-// executor-side representation), so the literal probes by value.
+// colValue decomposes cmp into a column reference and the value it is
+// compared with, the column on the left. The value is a literal, or a `?`
+// read as its peeked binding (Params). ok is false for any other
+// comparison and for a NULL value.
+func (e *Estimator) colValue(cmp *qgm.Cmp) (cr *qgm.ColRef, v datum.D, op datum.CmpOp, ok bool) {
+	cr, other, op, ok := colSide(cmp)
+	if !ok {
+		return nil, v, op, false
+	}
+	switch x := other.(type) {
+	case *qgm.Const:
+		v = x.Val
+	case *qgm.Param:
+		if x.Ord >= len(e.Params) {
+			return nil, v, op, false
+		}
+		v = e.Params[x.Ord]
+	default:
+		return nil, v, op, false
+	}
+	if v.IsNull() {
+		return nil, v, op, false
+	}
+	return cr, v, op, true
+}
+
+// histEqSel answers column = value from the column's equi-depth
+// histogram.
 func (e *Estimator) histEqSel(cmp *qgm.Cmp) (float64, bool) {
 	if e.NoHist {
 		return 0, false
 	}
-	cr, c, op, ok := colConst(cmp)
+	cr, v, op, ok := e.colValue(cmp)
 	if !ok || op != datum.EQ {
 		return 0, false
 	}
 	st, ok := e.baseColStats(cr.Q.Ranges, cr.Ord)
-	if !ok || st.Hist == nil {
-		return 0, false
-	}
-	if !datum.Comparable(c.Val.T, st.Hist.Low.T) {
-		return 0, false
-	}
-	return st.Hist.EqSel(c.Val)
-}
-
-// rangeSel estimates the selectivity of a range comparison between a column
-// and a constant: from the column's histogram when one exists (bucket walk
-// with linear interpolation inside the containing bucket), else from min/max
-// interpolation.
-func (e *Estimator) rangeSel(cmp *qgm.Cmp) (float64, bool) {
-	cr, c, op, ok := colConst(cmp)
 	if !ok {
 		return 0, false
 	}
-	if !e.NoHist {
-		if st, ok := e.baseColStats(cr.Q.Ranges, cr.Ord); ok && st.Hist != nil &&
-			datum.Comparable(c.Val.T, st.Hist.Low.T) {
-			switch op {
-			case datum.LT:
-				if s, ok := st.Hist.LessSel(c.Val, false); ok {
-					return clamp(s, 0.0005, 1), true
-				}
-			case datum.LE:
-				if s, ok := st.Hist.LessSel(c.Val, true); ok {
-					return clamp(s, 0.0005, 1), true
-				}
-			case datum.GT:
-				if s, ok := st.Hist.LessSel(c.Val, true); ok {
-					return clamp(1-s, 0.0005, 1), true
-				}
-			case datum.GE:
-				if s, ok := st.Hist.LessSel(c.Val, false); ok {
-					return clamp(1-s, 0.0005, 1), true
-				}
+	return histEq(st, v)
+}
+
+// histEq reads the frequency of v from the column's histogram.
+// Interned-string columns work the same as numerics here: the histogram
+// buckets hold the string datums themselves (interned ids are an
+// executor-side representation), so the value probes as itself.
+func histEq(st *catalog.ColumnStats, v datum.D) (float64, bool) {
+	if st.Hist == nil || !datum.Comparable(v.T, st.Hist.Low.T) {
+		return 0, false
+	}
+	return st.Hist.EqSel(v)
+}
+
+// rangeSel estimates the selectivity of a range comparison between a column
+// and a value.
+func (e *Estimator) rangeSel(cmp *qgm.Cmp) (float64, bool) {
+	cr, v, op, ok := e.colValue(cmp)
+	if !ok {
+		return 0, false
+	}
+	st, ok := e.baseColStats(cr.Q.Ranges, cr.Ord)
+	if !ok {
+		return 0, false
+	}
+	return statsRangeSel(st, op, v, e.NoHist)
+}
+
+// statsRangeSel estimates the fraction of a column's rows satisfying
+// `column op v` for a range operator: from the column's histogram when one
+// exists (bucket walk with linear interpolation inside the containing
+// bucket), else from min/max interpolation.
+func statsRangeSel(st *catalog.ColumnStats, op datum.CmpOp, v datum.D, noHist bool) (float64, bool) {
+	if !noHist && st.Hist != nil && datum.Comparable(v.T, st.Hist.Low.T) {
+		switch op {
+		case datum.LT:
+			if s, ok := st.Hist.LessSel(v, false); ok {
+				return clamp(s, 0.0005, 1), true
+			}
+		case datum.LE:
+			if s, ok := st.Hist.LessSel(v, true); ok {
+				return clamp(s, 0.0005, 1), true
+			}
+		case datum.GT:
+			if s, ok := st.Hist.LessSel(v, true); ok {
+				return clamp(1-s, 0.0005, 1), true
+			}
+		case datum.GE:
+			if s, ok := st.Hist.LessSel(v, false); ok {
+				return clamp(1-s, 0.0005, 1), true
 			}
 		}
 	}
-	if c.Val.T != datum.TInt && c.Val.T != datum.TFloat {
+	if v.T != datum.TInt && v.T != datum.TFloat {
 		return 0, false
 	}
-	lo, hi, ok := e.minMax(cr.Q.Ranges, cr.Ord)
+	lo, hi, ok := statsMinMax(st)
 	if !ok || hi <= lo {
 		return 0, false
 	}
-	v := c.Val.AsFloat()
-	frac := (v - lo) / (hi - lo) // fraction of values below v
+	frac := (v.AsFloat() - lo) / (hi - lo) // fraction of values below v
 	switch op {
 	case datum.LT, datum.LE:
 		return clamp(frac, 0.0005, 1), true
@@ -427,6 +463,11 @@ func (e *Estimator) minMax(b *qgm.Box, ord int) (float64, float64, bool) {
 	if !ok {
 		return 0, 0, false
 	}
+	return statsMinMax(st)
+}
+
+// statsMinMax reads a numeric column's min/max statistics.
+func statsMinMax(st *catalog.ColumnStats) (float64, float64, bool) {
 	if st.DistinctCount == 0 || st.Min.IsNull() || st.Max.IsNull() {
 		return 0, 0, false
 	}
@@ -445,8 +486,9 @@ func (e *Estimator) sideNDV(expr qgm.Expr) float64 {
 		return 1
 	case *qgm.Param:
 		// Equality against a parameter selects like equality against one
-		// value; range comparisons fall back to default selectivities in
-		// rangeSel (the binding is unknown at plan time).
+		// value. Histogram and range estimates read peeked bindings
+		// (Params) when the caller supplied them, and fall back to the
+		// default selectivities otherwise.
 		return 1
 	default:
 		return 10

@@ -36,11 +36,11 @@ type Const struct {
 }
 
 // Param is a positional query parameter (`?`), bound to a value only at
-// execution time. To the rewrite rules, the plan optimizer and the EMST
-// transformation it is an opaque constant: it references no quantifiers, so
-// plan shape and magic-seed structure are invariant under the binding —
-// which is what lets one cached plan serve any argument values. Type is the
-// declared slot type when known (TNull otherwise).
+// execution time. To the rewrite rules and the EMST transformation it is an
+// opaque constant: it references no quantifiers, so a plan built around it
+// is correct under any binding. The estimator may peek at a binding to cost
+// a plan variant; the Param stays in the plan. Type is the declared slot
+// type when known (TNull otherwise).
 type Param struct {
 	Ord  int
 	Type datum.Type

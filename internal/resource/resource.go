@@ -166,8 +166,9 @@ func (g *Governor) Admit(ctx context.Context) (func(), time.Duration, error) {
 	if g.queue.Len() >= g.maxQueue {
 		g.admitted--
 		g.rejected++
+		running, queued := g.running, g.maxQueue
 		g.mu.Unlock()
-		return nil, 0, fmt.Errorf("%w (running %d, queued %d)", ErrAdmissionRejected, g.running, g.maxQueue)
+		return nil, 0, fmt.Errorf("%w (running %d, queued %d)", ErrAdmissionRejected, running, queued)
 	}
 	w := &waiter{ch: make(chan struct{})}
 	elem := g.queue.PushBack(w)

@@ -202,6 +202,35 @@ func TestAdmitFIFOAndRejection(t *testing.T) {
 	}
 }
 
+// TestAdmissionRejectRace rejects admissions while other goroutines take
+// and release slots, so the rejection message's read of the running count
+// overlaps their writes. Under -race this fails if the count is read
+// outside the governor's mutex.
+func TestAdmissionRejectRace(t *testing.T) {
+	g := NewGovernor()
+	g.SetAdmission(1, 0)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				release, _, err := g.Admit(context.Background())
+				if err == nil {
+					release()
+				} else if !errors.Is(err, ErrAdmissionRejected) {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if s := g.Stats(); s.Admitted+s.Rejected != 2000 {
+		t.Fatalf("stats = %+v, want admitted+rejected = 2000", s)
+	}
+}
+
 func TestAdmitContextCancel(t *testing.T) {
 	g := NewGovernor()
 	g.SetAdmission(1, 4)

@@ -323,3 +323,80 @@ func TestConcurrentAppendScan(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactInternConcurrentAppend interns fresh strings while the intern
+// table is repeatedly compacted. Appends intern under their relation lock
+// alone, so compaction must read the table after taking every relation
+// lock; reading it earlier lets a stored id exceed its mark array. Every
+// appended string must read back intact afterwards.
+func TestCompactInternConcurrentAppend(t *testing.T) {
+	s := NewStore()
+	meta := func(name string) *catalog.Table {
+		return &catalog.Table{Name: name, Columns: []catalog.Column{
+			{Name: "id", Type: datum.TInt},
+			{Name: "w", Type: datum.TString},
+		}}
+	}
+	live := s.Create(meta("live"))
+	junk := s.Create(meta("junk"))
+	for i := 0; i < compactMinStrings; i++ {
+		if err := live.Insert(datum.Row{datum.Int(int64(i)), datum.String(fmt.Sprintf("base-%06d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const fresh = 3000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < fresh; i++ {
+			if err := live.Insert(datum.Row{datum.Int(int64(compactMinStrings + i)), datum.String(fmt.Sprintf("fresh-%06d", i))}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	// Alternate idle compaction passes with passes that have garbage to
+	// reclaim, so both the mark phase and the rebuild overlap the appends.
+	for round := uint64(1); ; round++ {
+		select {
+		case <-done:
+			goto check
+		default:
+		}
+		for i := 0; i < 2*compactMinStrings; i++ {
+			if err := junk.Insert(datum.Row{datum.Int(int64(i)), datum.String(fmt.Sprintf("junk-%d-%d", round, i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		id := txnID(round)
+		var marks []int
+		if _, err := junk.DeleteWhere(Snap{TS: round, Self: id}, id,
+			func(datum.Row) (bool, error) { return true, nil },
+			func(pos int, _ datum.Row) { marks = append(marks, pos) }); err != nil {
+			t.Fatal(err)
+		}
+		for _, pos := range marks {
+			junk.FinishDelete(pos, round)
+		}
+		for i := 0; i < 20; i++ {
+			s.MaybeCompactIntern()
+		}
+		s.Vacuum(round)
+		s.MaybeCompactIntern()
+	}
+check:
+	rows := live.Rows()
+	if len(rows) != compactMinStrings+fresh {
+		t.Fatalf("rows = %d, want %d", len(rows), compactMinStrings+fresh)
+	}
+	for _, row := range rows {
+		i := int(row[0].I)
+		want := fmt.Sprintf("base-%06d", i)
+		if i >= compactMinStrings {
+			want = fmt.Sprintf("fresh-%06d", i-compactMinStrings)
+		}
+		if row[1].S != want {
+			t.Fatalf("row %d string = %q, want %q", i, row[1].S, want)
+		}
+	}
+}

@@ -367,9 +367,8 @@ const compactMinStrings = 1024
 func (s *Store) MaybeCompactIntern() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	strs := s.tab.Strs()
-	total := len(strs)
-	if total < compactMinStrings {
+	// The table only grows, so a short one can be skipped before locking.
+	if len(s.tab.Strs()) < compactMinStrings {
 		return false
 	}
 	// Lock every relation for the duration: marking and rewriting must see
@@ -390,6 +389,11 @@ func (s *Store) MaybeCompactIntern() bool {
 			r.mu.Unlock()
 		}
 	}()
+	// Read the table only now: Relation.Append interns under its relation
+	// lock alone, so a snapshot taken before the locks could miss ids that
+	// stored rows already reference.
+	strs := s.tab.Strs()
+	total := len(strs)
 	live := make([]bool, total)
 	nLive := 0
 	for _, r := range rels {

@@ -222,8 +222,9 @@ func WithStrategy(s Strategy) QueryOption { return engine.WithStrategy(s) }
 
 // WithArgs binds values to the query's `?` placeholders in left-to-right
 // order (nil, bool, int/int32/int64, float32/float64, string, or Value).
-// Parameterized plans are binding-invariant, so the plan cache serves every
-// binding from one optimization.
+// Every plan of a parameterized statement is correct for any binding; each
+// execution runs the plan variant optimized for its values' selectivity
+// class (at most eight per statement, each optimized once).
 func WithArgs(args ...any) QueryOption { return engine.WithArgs(args...) }
 
 // WithTracer installs a span tracer for one call.
