@@ -115,33 +115,13 @@ func BenchmarkPipelineQueryD(b *testing.B) {
 // transitive closure with and without magic (Original computes the full
 // closure; EMST seeds the fixpoint with the query constant).
 func BenchmarkRecursiveTC(b *testing.B) {
-	db := engine.New()
-	if _, err := db.Exec(`
-	CREATE TABLE edge (src INT, dst INT, PRIMARY KEY (src, dst));
-	CREATE INDEX edge_src ON edge (src);
-	CREATE VIEW tc (src, dst) AS
-	  SELECT src, dst FROM edge
-	  UNION
-	  SELECT t.src, e.dst FROM tc t, edge e WHERE t.dst = e.src;`); err != nil {
+	db, err := bench.NewTCDB()
+	if err != nil {
 		b.Fatal(err)
 	}
-	var script strings.Builder
-	script.WriteString("INSERT INTO edge VALUES ")
-	for c := 0; c < 40; c++ {
-		for i := 0; i < 14; i++ {
-			if c+i > 0 {
-				script.WriteString(", ")
-			}
-			fmt.Fprintf(&script, "(%d, %d)", c*1000+i, c*1000+i+1)
-		}
-	}
-	if _, err := db.Exec(script.String()); err != nil {
-		b.Fatal(err)
-	}
-	const query = "SELECT dst FROM tc WHERE src = 7000"
 	for _, s := range []engine.Strategy{engine.Original, engine.EMST} {
 		b.Run(s.String(), func(b *testing.B) {
-			p, err := db.Prepare(query, s)
+			p, err := db.Prepare(bench.TCQuery, s)
 			if err != nil {
 				b.Fatal(err)
 			}

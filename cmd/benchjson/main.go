@@ -1,7 +1,8 @@
 // Command benchjson runs the performance-trajectory benchmark suite in
 // process (via testing.Benchmark) and writes machine-readable results to a
 // JSON file: ns/op, bytes/op and allocs/op for the row-key encoders, the
-// hash-join build, cold-vs-cached prepares, and every Table-1 experiment
+// hash-join build, cold-vs-cached prepares, the bound transitive closure
+// (with its base-row and index-lookup counts), and every Table-1 experiment
 // under each strategy.
 //
 // `make bench-json` writes BENCH_$(N).json at the repository root (see the
@@ -46,6 +47,11 @@ type result struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	Iterations  int     `json:"iterations"`
+	// BaseRows and IndexLookups are one execution's work counters, set
+	// for the recursion results only (deterministic, so a trajectory of
+	// them needs no noise margin).
+	BaseRows     *int64 `json:"base_rows,omitempty"`
+	IndexLookups *int64 `json:"index_lookups,omitempty"`
 }
 
 type report struct {
@@ -192,6 +198,12 @@ func main() {
 	}
 	if err := walBench(record, recordValue); err != nil {
 		fmt.Fprintln(os.Stderr, "wal bench:", err)
+		os.Exit(1)
+	}
+
+	// Recursion: the bound transitive closure with and without magic.
+	if err := recursionBench(record, &rep); err != nil {
+		fmt.Fprintln(os.Stderr, "recursion bench:", err)
 		os.Exit(1)
 	}
 
@@ -438,10 +450,15 @@ func spillBench(record func(string, func(b *testing.B))) error {
 // the fooled estimates and benchmark a different plan entirely — and to
 // flat statistics: histograms would estimate the string-range filter
 // accurately, flip the join order, and benchmark a different plan.
+// Feedback is off too: the vec half's q-error would mark the cached plan for
+// re-optimization and serve the row half another plan. Both halves must run
+// one plan — same operators and access paths, before and after timing —
+// or the A/B fails.
 func vecBench(record func(string, int, func(b *testing.B))) error {
 	const rows = 65536
 	db := engine.New()
 	db.SetHistograms(false)
+	db.SetFeedback(false)
 	if _, err := db.Exec(`
 	CREATE TABLE vt (a INT, k INT, name VARCHAR);
 	CREATE VIEW vtot (ka, total) AS
@@ -473,6 +490,17 @@ func vecBench(record func(string, int, func(b *testing.B))) error {
 	ctx := context.Background()
 	defer db.SetVectorized(true)
 	for _, c := range cases {
+		var shape string
+		sameShape := func(res *engine.Result, when string) error {
+			got := planShape(res)
+			if shape == "" {
+				shape = got
+			}
+			if got != shape {
+				return fmt.Errorf("%s: the A/B halves ran different plans (%s):\n%s\nvs\n%s", c.name, when, shape, got)
+			}
+			return nil
+		}
 		for _, mode := range []struct {
 			prefix string
 			vec    bool
@@ -494,6 +522,9 @@ func vecBench(record func(string, int, func(b *testing.B))) error {
 				return fmt.Errorf("%s/%s: root %s vectorized=%v, want %v — plan shape regressed:\n%s",
 					mode.prefix, c.name, root.Kind, root.Vectorized, mode.vec, res.Plan.Physical())
 			}
+			if err := sameShape(res, mode.prefix+" before timing"); err != nil {
+				return err
+			}
 			record(fmt.Sprintf("%s/%s_ns_row", mode.prefix, c.name), rows, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -502,9 +533,60 @@ func vecBench(record func(string, int, func(b *testing.B))) error {
 					}
 				}
 			})
+			if res, err = p.ExecuteContext(ctx, c.args...); err != nil {
+				return err
+			}
+			if err := sameShape(res, mode.prefix+" after timing"); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// recursionBench measures the bound transitive closure of
+// BenchmarkRecursiveTC under Original (the whole closure, then the filter)
+// and EMST (the fixpoint seeded with the bound source). Each result also
+// carries one execution's base rows read and index lookups.
+func recursionBench(record func(string, func(b *testing.B)), rep *report) error {
+	db, err := bench.NewTCDB()
+	if err != nil {
+		return err
+	}
+	for _, s := range []engine.Strategy{engine.Original, engine.EMST} {
+		p, err := db.Prepare(bench.TCQuery, s)
+		if err != nil {
+			return err
+		}
+		res, err := p.Execute()
+		if err != nil {
+			return err
+		}
+		record("recursion/tc/"+s.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Execute(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		c := res.Plan.Counters
+		r := &rep.Results[len(rep.Results)-1]
+		r.BaseRows, r.IndexLookups = &c.BaseRows, &c.IndexLookups
+		fmt.Printf("%-28s %12d base rows %8d index lookups\n", "", c.BaseRows, c.IndexLookups)
+	}
+	return nil
+}
+
+// planShape renders an executed plan's operator tree for A/B comparison:
+// kind, label and access paths of every operator, depth-first, without
+// timings or the vectorized flag.
+func planShape(res *engine.Result) string {
+	var sb strings.Builder
+	for _, op := range res.Plan.Operators {
+		fmt.Fprintf(&sb, "%d %s %s [%s]\n", op.Depth, op.Kind, op.Label, op.Detail)
+	}
+	return sb.String()
 }
 
 // wireBench measures the MySQL wire path over an in-memory transport

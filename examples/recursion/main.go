@@ -5,9 +5,10 @@
 // semantics, stratification enforced: aggregation and negation may consume
 // the recursion only from a higher stratum) and assigns stratum numbers by
 // collapsing strongly connected components, exactly as §2 defines. Magic
-// restriction cascades through the nonrecursive strata; recursive
-// components evaluate as fixpoint units (magic-on-recursion is out of
-// scope — see DESIGN.md).
+// restriction cascades through the nonrecursive strata, and into a
+// recursion when the bound column passes through it unchanged: the magic
+// table then seeds the fixpoint, which a linear component evaluates
+// semi-naively (see DESIGN.md).
 //
 // The example builds a manufacturing bill-of-materials:
 //

@@ -188,6 +188,37 @@ type Experiment struct {
 	Regime string
 }
 
+// TCQuery is the bound transitive closure of the recursion benchmark: one
+// source's reachable nodes on the NewTCDB graph.
+const TCQuery = "SELECT dst FROM tc WHERE src = 7000"
+
+// NewTCDB builds the recursion benchmark's graph: 40 disjoint chains of 15
+// nodes (node c*1000+i, edge i -> i+1) under an edge_src index and the
+// left-linear transitive-closure view tc. The full closure has 4200 pairs;
+// TCQuery reaches 14 of them.
+func NewTCDB() (*engine.Database, error) {
+	db := engine.New()
+	if _, err := db.Exec(`
+	CREATE TABLE edge (src INT, dst INT, PRIMARY KEY (src, dst));
+	CREATE INDEX edge_src ON edge (src);
+	CREATE VIEW tc (src, dst) AS
+	  SELECT src, dst FROM edge
+	  UNION
+	  SELECT t.src, e.dst FROM tc t, edge e WHERE t.dst = e.src;`); err != nil {
+		return nil, err
+	}
+	var edges []datum.Row
+	for c := 0; c < 40; c++ {
+		for i := 0; i < 14; i++ {
+			edges = append(edges, datum.Row{datum.Int(int64(c*1000 + i)), datum.Int(int64(c*1000 + i + 1))})
+		}
+	}
+	if err := db.InsertRows("edge", edges); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
 // Experiments returns the eight Table 1 experiments A–H.
 func Experiments() []Experiment {
 	return []Experiment{

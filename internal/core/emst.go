@@ -65,9 +65,10 @@ func (e *EMSTRule) Apply(ctx *rewrite.Context, b *qgm.Box) (bool, error) {
 	if b.Role == qgm.RoleMagic || b.Role == qgm.RoleSuppMagic {
 		return false, nil
 	}
-	// Recursive components evaluate as fixpoint units; the magic-on-
-	// recursion transformation (the classic deductive-database setting) is
-	// out of scope for this engine — see DESIGN.md.
+	// Boxes of a recursive component are not processed one by one: magic
+	// enters a recursion only through its fixpoint root, when a consumer
+	// binds it (processAMQ), and attachMagic then seeds the component's
+	// exit branches with the same magic table.
 	if b.Recursive || qgm.InCycle(b) {
 		e.processed[b] = true
 		return false, nil
@@ -114,22 +115,7 @@ func (e *EMSTRule) processAMQ(ctx *rewrite.Context, b *qgm.Box) (bool, error) {
 			continue
 		}
 		eligible := fq[:pos]
-		bindings := receivable(child, adornQuantifier(b, q, eligible))
-		if child.Recursive {
-			// Magic on recursion: sound only when every bound column is
-			// invariant through the recursive derivations (the classic
-			// transitive-closure shape, where the bound argument is passed
-			// down unchanged). Then filtering the fixpoint each round
-			// equals seeding the fixpoint with the filter. Conditions are
-			// not pushed into recursions.
-			var inv []Binding
-			for _, bd := range bindings {
-				if bd.Eq && recursionBoundInvariant(child, bd.Ord) {
-					inv = append(inv, bd)
-				}
-			}
-			bindings = inv
-		}
+		bindings := pushable(child, adornQuantifier(b, q, eligible))
 		if len(bindings) == 0 {
 			continue
 		}
@@ -142,7 +128,7 @@ func (e *EMSTRule) processAMQ(ctx *rewrite.Context, b *qgm.Box) (bool, error) {
 			fq = orderedF(b)
 			pos = indexOfQuant(fq, q)
 			eligible = fq[:pos]
-			bindings = receivable(child, adornQuantifier(b, q, eligible))
+			bindings = pushable(child, adornQuantifier(b, q, eligible))
 			if len(bindings) == 0 {
 				continue
 			}
@@ -173,8 +159,9 @@ func (e *EMSTRule) processAMQ(ctx *rewrite.Context, b *qgm.Box) (bool, error) {
 		// Sharing is abandoned when feeding this consumer's magic into the
 		// shared copy would make the graph recursive — the phenomenon the
 		// paper notes in §1 ("the magic-sets transformation can rewrite a
-		// nonrecursive query into a recursive query"); this engine does not
-		// evaluate recursion, so such consumers get a private copy.
+		// nonrecursive query into a recursive query"). Recursion is
+		// evaluated only for the components of recursive views, so such
+		// consumers get a private copy instead of a new cycle.
 		cacheable := len(cond) == 0
 		cp, fresh := e.adornedCopy(ctx, child, adornment, cacheable)
 		if !fresh && m != nil && reachesBox(m, cp) {
@@ -295,9 +282,13 @@ func reachesBox(b, target *qgm.Box) bool {
 // fixpoint root flows unchanged through every recursive derivation: in
 // every select box of the component, any ForEach quantifier over a
 // component member must project that quantifier's own column ord at output
-// position ord. Union members are positional by construction. When this
-// holds, σ_ord(fixpoint) = fixpoint(σ_ord(...)), so a magic quantifier may
-// be attached to the root.
+// position ord, and no subquery (E/A/S) quantifier may read a member —
+// a subquery over the recursion sees rows of every binding, not only of the
+// row it derives. Union members are positional by construction. When this
+// holds, every row of the component carries in column ord the value of the
+// exit row it derives from, so σ_ord(fixpoint) = fixpoint(σ_ord(exits)):
+// a magic quantifier may be attached to the root and the exit branches
+// seeded with the same magic table (attachMagic).
 func recursionBoundInvariant(root *qgm.Box, ord int) bool {
 	members := qgm.SCCBoxes(root)
 	inSCC := map[*qgm.Box]bool{}
@@ -310,8 +301,11 @@ func recursionBoundInvariant(root *qgm.Box, ord int) bool {
 			// positional pass-through
 		case qgm.KindSelect:
 			for _, q := range x.Quantifiers {
-				if q.Type != qgm.ForEach || !inSCC[q.Ranges] {
+				if !inSCC[q.Ranges] {
 					continue
+				}
+				if q.Type != qgm.ForEach {
+					return false
 				}
 				if ord >= len(x.Output) {
 					return false
@@ -326,6 +320,26 @@ func recursionBoundInvariant(root *qgm.Box, ord int) bool {
 		}
 	}
 	return true
+}
+
+// pushable filters bindings to those magic may push into child: the
+// receivable ones, and into a fixpoint root only equality bindings on
+// columns invariant through the recursive derivations (the classic
+// transitive-closure shape, where the bound argument is passed down
+// unchanged) — there filtering the fixpoint equals seeding it with the
+// filter. Conditions are not pushed into recursions.
+func pushable(child *qgm.Box, bindings []Binding) []Binding {
+	bindings = receivable(child, bindings)
+	if !child.Recursive {
+		return bindings
+	}
+	var inv []Binding
+	for _, bd := range bindings {
+		if bd.Eq && recursionBoundInvariant(child, bd.Ord) {
+			inv = append(inv, bd)
+		}
+	}
+	return inv
 }
 
 // receivable filters bindings to those the child box can accept: AMQ
@@ -578,12 +592,55 @@ func (e *EMSTRule) attachMagic(ctx *rewrite.Context, cp *qgm.Box, m *qgm.Box, bi
 				R:  qgm.CopyExpr(cp.Output[bd.Ord].Expr, nil),
 			})
 		}
+		if cp.Recursive {
+			e.seedExits(ctx, cp, m, bindings)
+		}
 		return
 	}
 	cp.MagicBox = m
 	cp.MagicCols = nil
 	for k, bd := range bindings {
 		cp.MagicCols = append(cp.MagicCols, qgm.MagicCol{BoxOrd: bd.Ord, MagicOrd: k})
+	}
+}
+
+// seedExits filters every exit branch of the recursive component rooted at
+// root — a union branch that does not reach the root — by magic table m,
+// through a new select box joining the branch with m on the bound columns.
+// The root keeps its own magic quantifier. processAMQ admits only bindings
+// recursionBoundInvariant proves invariant, under which every component row
+// carries its exit row's bound values, so the filtered exits derive exactly
+// the rows the root's filter keeps: the fixpoint starts from the magic set
+// instead of computing the whole relation and discarding most of it. A feed
+// later extended in place (extendUnion) widens the exit filters with it.
+func (e *EMSTRule) seedExits(ctx *rewrite.Context, root, m *qgm.Box, bindings []Binding) {
+	g := ctx.G
+	members := qgm.SCCBoxes(root)
+	inSCC := map[*qgm.Box]bool{}
+	for _, x := range members {
+		inSCC[x] = true
+	}
+	for _, x := range members {
+		if x.Kind != qgm.KindUnion {
+			continue
+		}
+		for _, q := range x.Quantifiers {
+			exit := q.Ranges
+			if inSCC[exit] {
+				continue
+			}
+			f := g.NewBox(qgm.KindSelect, e.genName("SEED_"+exit.Name))
+			f.Distinct = qgm.DistinctPreserve
+			mq := g.AddQuantifier(f, qgm.ForEach, "mg", m)
+			xq := g.AddQuantifier(f, qgm.ForEach, "x", exit)
+			for i, oc := range exit.Output {
+				f.Output = append(f.Output, qgm.OutputCol{Name: oc.Name, Expr: xq.Col(i), Type: oc.Type})
+			}
+			for k, bd := range bindings {
+				f.Preds = append(f.Preds, &qgm.Cmp{Op: datum.EQ, L: mq.Col(k), R: xq.Col(bd.Ord)})
+			}
+			q.Ranges = f
+		}
 	}
 }
 

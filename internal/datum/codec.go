@@ -191,7 +191,7 @@ func DecodeAggState(buf []byte) (*AggState, []byte, error) {
 // MemBytes is a coarse resident-size estimate of the datum for memory
 // accounting: struct size plus string payload.
 func (d D) MemBytes() int64 {
-	return 48 + int64(len(d.S))
+	return 40 + int64(len(d.S))
 }
 
 // RowMemBytes estimates the resident size of a row (slice header, backing

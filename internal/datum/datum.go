@@ -64,14 +64,16 @@ func TypeFromName(name string) (Type, error) {
 // D is a single SQL value. The zero value of D is the untyped NULL.
 //
 // D is a small value type; pass it by value. Only the field matching T is
-// meaningful. Null may be true for any T, representing a typed NULL.
+// meaningful. Null may be true for any T, representing a typed NULL. The
+// one-byte fields sit together ahead of the 8-byte ones so the struct packs
+// into 40 bytes rather than 48.
 type D struct {
 	T    Type
 	Null bool
+	B    bool
 	I    int64
 	F    float64
 	S    string
-	B    bool
 }
 
 // Null returns the untyped NULL datum.

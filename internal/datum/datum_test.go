@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // randomDatum generates an arbitrary datum for property tests.
@@ -597,5 +598,14 @@ func TestComparableMatrix(t *testing.T) {
 		if got := Comparable(c.a, c.b); got != c.want {
 			t.Errorf("Comparable(%v, %v) = %v", c.a, c.b, got)
 		}
+	}
+}
+
+// TestDatumSize pins the packed layout of D: the one-byte fields (T, Null,
+// B) share the first word, so a datum is 40 bytes. Rows and batches are
+// slices of D, so every byte here is paid once per value held.
+func TestDatumSize(t *testing.T) {
+	if got := unsafe.Sizeof(D{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(datum.D{}) = %d, want 40", got)
 	}
 }

@@ -132,7 +132,9 @@ func (fb *feedbackState) hints(p *plan.Plan) map[string]float64 {
 		out[name] = v
 	}
 	for _, n := range p.Nodes {
-		if !n.BoxRoot || n.Box == nil || n.Box.Name == "" {
+		// Members of a fixpoint's seed and delta trees run once per round;
+		// their summed rows are no box's cardinality.
+		if !n.BoxRoot || n.Box == nil || n.Box.Name == "" || n.Fixpoint != nil {
 			continue
 		}
 		if n.ID < len(fb.ema) && fb.ema[n.ID] >= 0 {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -171,6 +172,42 @@ func TestRecursionMagicAllStrategiesAgree(t *testing.T) {
 			}
 			if canonical(res) != want {
 				t.Errorf("%q %v: results differ", q, s)
+			}
+		}
+	}
+}
+
+// TestMagicOnRecursionBindingsSound pins two ways a binding reached a
+// recursion unsoundly. A supplementary-magic-box re-derives the bindings of
+// the quantifier it precedes; they must pass the invariance filter again,
+// or the non-invariant dst binding of left-linear tc filters the fixpoint.
+// And a binding from an enclosing query's row makes one fixpoint per row:
+// the set must not be reused for the next row.
+func TestMagicOnRecursionBindingsSound(t *testing.T) {
+	db := chainDB(t, 10, 8)
+	if _, err := db.Exec(`
+	CREATE TABLE wanted (src INT, PRIMARY KEY (src));
+	INSERT INTO wanted VALUES (0), (3001), (5000);`); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		`SELECT t.src, t.dst FROM edge e1, edge e2, tc t
+		 WHERE e1.dst = e2.src AND t.src = e1.src AND t.dst = e2.dst AND e1.src = 3000`,
+		`SELECT w.src FROM wanted w
+		 WHERE EXISTS (SELECT 1 FROM tc t WHERE t.src = w.src AND t.dst = 5005)`,
+		`SELECT w.src, (SELECT COUNT(*) FROM tc t WHERE t.src = w.src) FROM wanted w`,
+	}
+	wants := []string{"3000|3002", "5000", "0|7;3001|6;5000|7"}
+	for i, q := range queries {
+		for _, s := range []Strategy{Original, Correlated, EMST} {
+			for _, opts := range [][]QueryOption{nil, {WithMaterialized()}} {
+				res, err := db.QueryContext(context.Background(), q, append(opts, WithStrategy(s))...)
+				if err != nil {
+					t.Fatalf("%q %v: %v", q, s, err)
+				}
+				if got := canonical(res); got != wants[i] {
+					t.Errorf("%q %v (materialized %v): got %s, want %s", q, s, len(opts) > 0, got, wants[i])
+				}
 			}
 		}
 	}

@@ -73,7 +73,7 @@ type Evaluator struct {
 	NoVec bool
 
 	// MaxRecursion bounds fixpoint iterations for recursive views
-	// (0 = default 1000).
+	// (0 = default 1000; a semi-naive fixpoint's seed counts as one).
 	MaxRecursion int
 
 	// Parallelism bounds the worker pool for intra-query parallelism:
@@ -142,6 +142,9 @@ type Evaluator struct {
 	// string(keyBuf), which Go compiles to an allocation-free lookup; a key
 	// string is materialized only when it must be stored.
 	keyBuf []byte
+	// groupKey is the scratch row group-by keys are evaluated into (see
+	// evalGroupKey).
+	groupKey datum.Row
 }
 
 // corrRef is a free (outer) column reference of a box subtree.
@@ -295,10 +298,14 @@ func (ev *Evaluator) EvalBox(b *qgm.Box, env Env) ([]datum.Row, error) {
 	return rows, nil
 }
 
-// evalRecursive iterates a recursive view's fixpoint root to a fixpoint:
-// each round re-evaluates the body with the previous round's accumulated
-// set visible through the root's memo entry, accumulating new rows under
-// set semantics until no round adds one.
+// evalRecursive iterates a recursive view's fixpoint root to a fixpoint by
+// naive iteration: each round re-evaluates the whole body with the previous
+// round's accumulated set visible through the root's memo entry,
+// accumulating new rows under set semantics until no round adds one. The
+// streaming executor evaluates linear components semi-naively instead
+// (fixpoint.go); this loop serves the other components and the materialized
+// evaluator, and is the reference the operator is tested against — the two
+// share only the seen-set, the round cap and the order of a round's rows.
 func (ev *Evaluator) evalRecursive(b *qgm.Box, env Env) ([]datum.Row, error) {
 	if ev.recActive == nil {
 		ev.recActive = map[*qgm.Box]bool{}
@@ -307,17 +314,21 @@ func (ev *Evaluator) evalRecursive(b *qgm.Box, env Env) ([]datum.Row, error) {
 		// Re-entry from within the body: the previous round's set.
 		return ev.memo[b], nil
 	}
-	if rows, ok := ev.memo[b]; ok {
+	// A root reading an enclosing box's row (magic from a correlated
+	// binding) has one fixpoint per binding: it is iterated afresh on
+	// every call and its set is not kept.
+	closed := len(ev.freeRefs(b)) == 0
+	if rows, ok := ev.memo[b]; ok && closed {
 		return rows, nil
 	}
 	ev.recActive[b] = true
 	defer delete(ev.recActive, b)
+	if !closed {
+		defer ev.memoDelete(b)
+	}
 
 	scc := ev.sccMembers(b)
-	maxIter := ev.MaxRecursion
-	if maxIter <= 0 {
-		maxIter = 1000
-	}
+	maxIter := ev.maxRecursion()
 	var cur []datum.Row
 	// The delta-membership keyset is spillable under a memory budget; the
 	// accumulated set itself must stay resident because the body re-enters
@@ -326,7 +337,7 @@ func (ev *Evaluator) evalRecursive(b *qgm.Box, env Env) ([]datum.Row, error) {
 	defer seen.close()
 	for iter := 0; ; iter++ {
 		if iter >= maxIter {
-			return nil, fmt.Errorf("exec: recursive view %q did not reach a fixpoint in %d iterations", b.Name, maxIter)
+			return nil, errNoFixpoint(b, maxIter)
 		}
 		// A cancelled query must not keep iterating toward a distant (or
 		// unreachable) fixpoint; check every round, unamortized.
@@ -341,10 +352,10 @@ func (ev *Evaluator) evalRecursive(b *qgm.Box, env Env) ([]datum.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Semi-naive delta: only rows not yet in the accumulated set extend
-		// the next round. The delta membership test is allocation-free; a
-		// key string materializes only for genuinely new rows.
-		grew := false
+		// Only rows not yet in the accumulated set extend it. The
+		// membership test is allocation-free; a key string materializes
+		// only for genuinely new rows.
+		prev := len(cur)
 		for _, r := range rows {
 			ev.keyBuf = datum.AppendKey(ev.keyBuf[:0], r)
 			dup, serr := seen.checkAndAdd(ev.keyBuf)
@@ -353,12 +364,12 @@ func (ev *Evaluator) evalRecursive(b *qgm.Box, env Env) ([]datum.Row, error) {
 			}
 			if !dup {
 				cur = append(cur, r)
-				grew = true
 			}
 		}
-		if !grew {
+		if len(cur) == prev {
 			break
 		}
+		sortRound(cur[prev:])
 		// The row budget bounds the accumulated fixpoint itself, aborting
 		// between rounds — a runaway recursion must not iterate on just
 		// because each individual round stayed under budget.
@@ -1014,19 +1025,34 @@ func (ev *Evaluator) evalGroupBy(b *qgm.Box, env Env) ([]datum.Row, error) {
 // reusable scratch copy of the group key (ev.keyBuf gets reused for the
 // distinct-argument keys); the returned slice is passed back in.
 func (ev *Evaluator) accumulateGroup(gt *groupTable, b *qgm.Box, env Env, gkBuf []byte) ([]byte, error) {
-	key := make(datum.Row, len(b.GroupBy))
-	for i, ge := range b.GroupBy {
-		v, err := EvalExpr(ge, env)
-		if err != nil {
-			return gkBuf, err
-		}
-		key[i] = v
+	key, err := ev.evalGroupKey(b, env)
+	if err != nil {
+		return gkBuf, err
 	}
 	return ev.accumulateGroupKeyed(gt, b, env, key, gkBuf)
 }
 
+// evalGroupKey evaluates b's group key for the current row into the
+// evaluator's scratch row. The row is overwritten by the next call: only a
+// newly inserted group keeps its key, and it keeps a copy.
+func (ev *Evaluator) evalGroupKey(b *qgm.Box, env Env) (datum.Row, error) {
+	if cap(ev.groupKey) < len(b.GroupBy) {
+		ev.groupKey = make(datum.Row, len(b.GroupBy))
+	}
+	key := ev.groupKey[:len(b.GroupBy)]
+	for i, ge := range b.GroupBy {
+		v, err := EvalExpr(ge, env)
+		if err != nil {
+			return nil, err
+		}
+		key[i] = v
+	}
+	return key, nil
+}
+
 // accumulateGroupKeyed is accumulateGroup after the group key row has been
-// evaluated: byte-encode it, find or create the entry, update aggregates.
+// evaluated into the scratch row: byte-encode it, find or create the entry
+// (copying the key), update aggregates.
 func (ev *Evaluator) accumulateGroupKeyed(gt *groupTable, b *qgm.Box, env Env, key datum.Row, gkBuf []byte) ([]byte, error) {
 	ev.keyBuf = datum.AppendKey(ev.keyBuf[:0], key)
 	gkBuf = append(gkBuf[:0], ev.keyBuf...)
@@ -1035,7 +1061,7 @@ func (ev *Evaluator) accumulateGroupKeyed(gt *groupTable, b *qgm.Box, env Env, k
 		return gkBuf, err
 	}
 	if !ok {
-		grp = newGroupEntry(key, b.Aggs)
+		grp = newGroupEntry(key.Clone(), b.Aggs)
 		if err := gt.insert(gkBuf, grp); err != nil {
 			return gkBuf, err
 		}
@@ -1051,13 +1077,9 @@ func (ev *Evaluator) accumulateGroupKeyed(gt *groupTable, b *qgm.Box, env Env, k
 // Non-keyable keys fall through to the byte path; equal keys always
 // classify the same way, so the two maps never split a group.
 func (ev *Evaluator) accumulateGroupFast(gt *groupTable, b *qgm.Box, env Env, keyer *vec.RowKeyer, fast map[vec.RowKey]*groupEntry, gkBuf []byte) ([]byte, error) {
-	key := make(datum.Row, len(b.GroupBy))
-	for i, ge := range b.GroupBy {
-		v, err := EvalExpr(ge, env)
-		if err != nil {
-			return gkBuf, err
-		}
-		key[i] = v
+	key, err := ev.evalGroupKey(b, env)
+	if err != nil {
+		return gkBuf, err
 	}
 	rk, ok := keyer.Key(key)
 	if !ok {
@@ -1068,13 +1090,12 @@ func (ev *Evaluator) accumulateGroupFast(gt *groupTable, b *qgm.Box, env Env, ke
 		ev.keyBuf = datum.AppendKey(ev.keyBuf[:0], key)
 		gkBuf = append(gkBuf[:0], ev.keyBuf...)
 		var present bool
-		var err error
 		grp, present, err = gt.lookup(gkBuf)
 		if err != nil {
 			return gkBuf, err
 		}
 		if !present {
-			grp = newGroupEntry(key, b.Aggs)
+			grp = newGroupEntry(key.Clone(), b.Aggs)
 			if err := gt.insert(gkBuf, grp); err != nil {
 				return gkBuf, err
 			}

@@ -35,7 +35,9 @@ import (
 // filters and projection (those re-evaluate cleanly from a decoded probe
 // row; scalar subqueries and semi/anti checks would not).
 func (p *selectPipeOp) graceShape(i int) bool {
-	return i == 1 && len(p.stages) == 2 &&
+	// A fixpoint member's build outlives the pipeline (it serves every
+	// round), so it must stay probeable; the grace merge consumes it.
+	return i == 1 && len(p.stages) == 2 && p.fix == nil &&
 		p.stages[0].access == plan.AccessStream &&
 		len(p.n.Scalars) == 0 && len(p.n.Subqs) == 0 && len(p.n.PostPreds) == 0
 }

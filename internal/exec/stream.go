@@ -9,7 +9,7 @@
 // evaluation, subquery memoization, partitioned parallel hash build, closed
 // -subtree prefetch, the shared box memo — so a plan mixing streamed
 // operators with box-eval bridges (correlated or shared subtrees, extension
-// kinds, recursive fixpoints) stays consistent with box-at-a-time results.
+// kinds, non-linear recursion) stays consistent with box-at-a-time results.
 package exec
 
 import (
@@ -35,6 +35,24 @@ type operator interface {
 	open() error
 	next() ([]datum.Row, error)
 	close() error
+}
+
+// rowStream streams a materialized row slice in batches.
+type rowStream struct {
+	rows []datum.Row
+	pos  int
+}
+
+func (s *rowStream) reset(rows []datum.Row) { s.rows, s.pos = rows, 0 }
+
+func (s *rowStream) nextBatch() []datum.Row {
+	if s.pos >= len(s.rows) {
+		return nil
+	}
+	end := min(s.pos+streamBatch, len(s.rows))
+	batch := s.rows[s.pos:end]
+	s.pos = end
+	return batch
 }
 
 // EvalPlan executes a physical plan and returns the result rows plus
@@ -153,6 +171,9 @@ func (ev *Evaluator) addOutput(n int) error {
 type planRun struct {
 	ev    *Evaluator
 	stats []plan.OpStats
+	// fix holds the state of each semi-naive fixpoint while it runs, keyed
+	// by its OpFixpoint node (see fixpoint.go).
+	fix map[*plan.Node]*fixState
 }
 
 // spillNote returns the spill-event callback for node n, attributing spill
@@ -191,8 +212,14 @@ func (r *planRun) build(n *plan.Node) operator {
 		op = &limitOp{r: r, n: n, child: r.build(n.Children[0])}
 	case plan.OpTrim:
 		op = &trimOp{r: r, n: n, child: r.build(n.Children[0])}
-	case plan.OpBoxEval, plan.OpFixpoint:
-		op = &boxEvalOp{r: r, n: n}
+	case plan.OpFixpoint:
+		if len(n.Children) > 0 {
+			op = &fixpointOp{r: r, n: n}
+		} else {
+			op = &boxEvalOp{r: r, n: n}
+		}
+	case plan.OpDelta:
+		op = &deltaOp{r: r, n: n}
 	default:
 		op = &boxEvalOp{r: r, n: n}
 	}
@@ -205,7 +232,7 @@ func (r *planRun) build(n *plan.Node) operator {
 // streamed and bridged parts of a plan is still done once.
 func (r *planRun) materialize(n *plan.Node) ([]datum.Row, error) {
 	ev := r.ev
-	if n.Kind == plan.OpBoxEval || n.Kind == plan.OpFixpoint {
+	if n.Kind == plan.OpBoxEval || (n.Kind == plan.OpFixpoint && len(n.Children) == 0) {
 		rows, err := ev.EvalBox(n.Box, ev.rootEnv())
 		if err != nil {
 			return nil, err
@@ -243,35 +270,39 @@ func (r *planRun) materialize(n *plan.Node) ([]datum.Row, error) {
 		}
 		return rows, nil
 	}
-	op := r.build(n)
 	var rows []datum.Row
-	err := func() error {
-		if err := op.open(); err != nil {
-			return err
-		}
-		for {
-			batch, err := op.next()
-			if err != nil {
-				return err
-			}
-			if len(batch) == 0 {
-				return nil
-			}
-			rows = append(rows, batch...)
-		}
-	}()
-	if cerr := op.close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := r.drain(n, func(batch []datum.Row) error {
+		rows = append(rows, batch...)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	// Streamed subtrees are closed by construction (lowering bridges
-	// correlated boxes), so the result is safe to memoize.
-	if n.Box != nil && !ev.NoSubqueryCache {
+	// correlated boxes), so the result is safe to memoize. A fixpoint has
+	// memoized its set itself.
+	if n.Box != nil && !ev.NoSubqueryCache && n.Kind != plan.OpFixpoint {
 		ev.memoInsert(n.Box, rows)
 	}
 	return rows, nil
+}
+
+// drain builds the operator tree at n, opens it, passes every batch to
+// sink, and closes it.
+func (r *planRun) drain(n *plan.Node, sink func([]datum.Row) error) error {
+	op := r.build(n)
+	err := op.open()
+	for err == nil {
+		var batch []datum.Row
+		batch, err = op.next()
+		if err != nil || len(batch) == 0 {
+			break
+		}
+		err = sink(batch)
+	}
+	if cerr := op.close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // instrumented wraps an operator with per-node counters: opens, batches,
@@ -316,10 +347,9 @@ func (w *instrumented) close() error {
 // scanOp streams a base table in batches. BaseRows counts rows actually
 // pulled, so early exit is visible in the counters.
 type scanOp struct {
-	r    *planRun
-	n    *plan.Node
-	rows []datum.Row
-	pos  int
+	r   *planRun
+	n   *plan.Node
+	out rowStream
 }
 
 func (s *scanOp) open() error {
@@ -328,8 +358,7 @@ func (s *scanOp) open() error {
 	if !ok {
 		return fmt.Errorf("exec: no storage for table %q", s.n.Box.Table.Name)
 	}
-	s.rows = rel.Rows()
-	s.pos = 0
+	s.out.reset(rel.Rows())
 	ev.Counters.BoxEvals++
 	return nil
 }
@@ -339,15 +368,10 @@ func (s *scanOp) next() ([]datum.Row, error) {
 	if err := ev.ctxErr(); err != nil {
 		return nil, err
 	}
-	if s.pos >= len(s.rows) {
+	batch := s.out.nextBatch()
+	if len(batch) == 0 {
 		return nil, nil
 	}
-	end := s.pos + streamBatch
-	if end > len(s.rows) {
-		end = len(s.rows)
-	}
-	batch := s.rows[s.pos:end]
-	s.pos = end
 	ev.Counters.BaseRows += int64(len(batch))
 	if err := ev.addOutput(len(batch)); err != nil {
 		return nil, err
@@ -356,19 +380,19 @@ func (s *scanOp) next() ([]datum.Row, error) {
 }
 
 func (s *scanOp) close() error {
-	s.rows = nil
+	s.out.reset(nil)
 	return nil
 }
 
 // boxEvalOp bridges to the classic evaluator: OpBoxEval (correlated, shared,
-// extension) and OpFixpoint (recursive) nodes materialize through EvalBox —
-// which handles memoization and semi-naive fixpoint iteration — and stream
-// the result out in batches. All Counters accounting happens inside EvalBox.
+// extension) and childless OpFixpoint (non-linear recursion) nodes
+// materialize through EvalBox — which handles memoization and naive
+// fixpoint iteration — and stream the result out in batches. All Counters
+// accounting happens inside EvalBox.
 type boxEvalOp struct {
-	r    *planRun
-	n    *plan.Node
-	rows []datum.Row
-	pos  int
+	r   *planRun
+	n   *plan.Node
+	out rowStream
 }
 
 func (o *boxEvalOp) open() error {
@@ -376,26 +400,14 @@ func (o *boxEvalOp) open() error {
 	if err != nil {
 		return err
 	}
-	o.rows = rows
-	o.pos = 0
+	o.out.reset(rows)
 	return nil
 }
 
-func (o *boxEvalOp) next() ([]datum.Row, error) {
-	if o.pos >= len(o.rows) {
-		return nil, nil
-	}
-	end := o.pos + streamBatch
-	if end > len(o.rows) {
-		end = len(o.rows)
-	}
-	batch := o.rows[o.pos:end]
-	o.pos = end
-	return batch, nil
-}
+func (o *boxEvalOp) next() ([]datum.Row, error) { return o.out.nextBatch(), nil }
 
 func (o *boxEvalOp) close() error {
-	o.rows = nil
+	o.out.reset(nil)
 	return nil
 }
 
@@ -445,6 +457,10 @@ type selectPipeOp struct {
 	subqs  []subqState
 	depth  int
 	done   bool
+	// fix is the enclosing fixpoint's state when the box is a member of a
+	// recursive component: the operator is rebuilt every round, and stage
+	// builds and first-match verdicts persist there between rounds.
+	fix *fixState
 	// oneShot handles a stage-less box (no ForEach quantifiers): exactly one
 	// candidate binding is finished.
 	oneShot bool
@@ -494,10 +510,17 @@ func (p *selectPipeOp) open() error {
 		}
 	}
 
+	if p.n.Fixpoint != nil {
+		p.fix = p.r.fix[p.n.Fixpoint]
+	}
 	p.stages = make([]stageState, len(p.n.Stages))
 	for i := range p.n.Stages {
 		st := &p.n.Stages[i]
 		ss := &p.stages[i]
+		if k := p.fix.keptStage(st.Quant); k != nil {
+			*ss = *k
+			continue
+		}
 		ss.st = st
 		ss.access = st.Access
 		ss.filters = st.Residual
@@ -517,6 +540,11 @@ func (p *selectPipeOp) open() error {
 		}
 	}
 	p.subqs = make([]subqState, len(p.n.Subqs))
+	if p.fix != nil {
+		for i := range p.n.Subqs {
+			p.subqs[i] = p.fix.verdicts[p.n.Subqs[i].Quant]
+		}
+	}
 	p.depth = 0
 	if len(p.stages) > 0 {
 		return p.resetStage(0)
@@ -991,6 +1019,12 @@ func (p *selectPipeOp) checkSubq(i int) (bool, error) {
 		return false, err
 	}
 	c.valid, c.val = true, val
+	if p.fix != nil {
+		if p.fix.verdicts == nil {
+			p.fix.verdicts = map[*qgm.Quantifier]subqState{}
+		}
+		p.fix.verdicts[sq.Quant] = *c
+	}
 	return val, nil
 }
 
@@ -1145,6 +1179,10 @@ func (p *selectPipeOp) close() error {
 				err = e
 			}
 		}
+		if p.fix != nil && ss.built {
+			p.fix.keep(ss) // the fixpoint releases it when done
+			continue
+		}
 		if ss.sht != nil {
 			ss.sht.close()
 		}
@@ -1166,8 +1204,7 @@ func (p *selectPipeOp) close() error {
 type groupByOp struct {
 	r   *planRun
 	n   *plan.Node
-	out []datum.Row
-	pos int
+	out rowStream
 }
 
 func (g *groupByOp) open() error {
@@ -1227,21 +1264,14 @@ func (g *groupByOp) open() error {
 	if err != nil {
 		return err
 	}
-	g.out, err = emitGroups(gt, b)
+	rows, err := emitGroups(gt, b)
+	g.out.reset(rows)
 	return err
 }
 
 func (g *groupByOp) next() ([]datum.Row, error) {
-	if g.pos >= len(g.out) {
-		return nil, nil
-	}
-	end := g.pos + streamBatch
-	if end > len(g.out) {
-		end = len(g.out)
-	}
-	batch := g.out[g.pos:end]
-	g.pos = end
-	if g.n.BoxRoot {
+	batch := g.out.nextBatch()
+	if g.n.BoxRoot && len(batch) > 0 {
 		if err := g.r.ev.addOutput(len(batch)); err != nil {
 			return nil, err
 		}
@@ -1250,7 +1280,7 @@ func (g *groupByOp) next() ([]datum.Row, error) {
 }
 
 func (g *groupByOp) close() error {
-	g.out = nil
+	g.out.reset(nil)
 	return nil
 }
 
@@ -1569,8 +1599,7 @@ type sortOp struct {
 	r      *planRun
 	n      *plan.Node
 	child  operator
-	rows   []datum.Row
-	pos    int
+	out    rowStream
 	sorter *extSorter
 }
 
@@ -1590,6 +1619,7 @@ func (s *sortOp) open() error {
 		s.child.close()
 		return err
 	}
+	var rows []datum.Row
 	err := func() error {
 		for {
 			batch, err := s.child.next()
@@ -1607,7 +1637,7 @@ func (s *sortOp) open() error {
 				}
 				continue
 			}
-			s.rows = append(s.rows, batch...)
+			rows = append(rows, batch...)
 		}
 	}()
 	if cerr := s.child.close(); err == nil {
@@ -1620,9 +1650,9 @@ func (s *sortOp) open() error {
 		return s.sorter.finish()
 	}
 	specs := s.n.OrderBy
-	sort.SliceStable(s.rows, func(i, j int) bool {
+	sort.SliceStable(rows, func(i, j int) bool {
 		for _, spec := range specs {
-			c := datum.SortCompare(s.rows[i][spec.Ord], s.rows[j][spec.Ord])
+			c := datum.SortCompare(rows[i][spec.Ord], rows[j][spec.Ord])
 			if spec.Desc {
 				c = -c
 			}
@@ -1632,6 +1662,7 @@ func (s *sortOp) open() error {
 		}
 		return false
 	})
+	s.out.reset(rows)
 	return nil
 }
 
@@ -1639,16 +1670,7 @@ func (s *sortOp) next() ([]datum.Row, error) {
 	if s.sorter != nil {
 		return s.sorter.next(streamBatch)
 	}
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	end := s.pos + streamBatch
-	if end > len(s.rows) {
-		end = len(s.rows)
-	}
-	batch := s.rows[s.pos:end]
-	s.pos = end
-	return batch, nil
+	return s.out.nextBatch(), nil
 }
 
 func (s *sortOp) close() error {
@@ -1656,7 +1678,7 @@ func (s *sortOp) close() error {
 		s.sorter.close()
 		s.sorter = nil
 	}
-	s.rows = nil
+	s.out.reset(nil)
 	return nil
 }
 

@@ -11,11 +11,13 @@ import (
 
 // Lower turns an optimized QGM graph into a physical plan. Each box becomes
 // an operator subtree; select boxes consume the optimizer's JoinOrder to lay
-// out pipeline stages with explicit access paths. Boxes the streaming
-// executor cannot (or should not) stream — correlated subtrees, shared
-// common subexpressions, extension kinds, recursive fixpoints — lower to
-// bridge operators that evaluate through the classic box-at-a-time
-// evaluator, so every graph the evaluator accepts has a plan.
+// out pipeline stages with explicit access paths. A recursive view whose
+// component is linear lowers to a semi-naive fixpoint over seed and delta
+// trees (see lowerFixpoint). Boxes the streaming executor cannot (or should
+// not) stream — correlated subtrees, shared common subexpressions,
+// extension kinds, non-linear recursion — lower to bridge operators that
+// evaluate through the classic box-at-a-time evaluator, so every graph the
+// evaluator accepts has a plan.
 func Lower(g *qgm.Graph) *Plan {
 	return LowerWith(g, opt.NewEstimator())
 }
@@ -147,7 +149,7 @@ func estWidth(b *qgm.Box) float64 {
 	if b != nil && len(b.Output) > 0 {
 		cols = len(b.Output)
 	}
-	return float64(24 + 48*cols)
+	return float64(24 + 40*cols)
 }
 
 func (lw *lowerer) lowerBox(b *qgm.Box) *Node {
@@ -155,11 +157,7 @@ func (lw *lowerer) lowerBox(b *qgm.Box) *Node {
 	case lw.visiting[b]:
 		return lw.bridge(b, "cyclic")
 	case b.Recursive:
-		n := lw.p.newNode(OpFixpoint, b, "fixpoint "+boxName(b))
-		n.Detail = "semi-naive iteration"
-		n.EstRows = lw.est.Card(b)
-		n.EstMem = n.EstRows * estWidth(b)
-		return n
+		return lw.lowerFixpoint(b)
 	case lw.hasFree(b):
 		return lw.bridge(b, "correlated")
 	case lw.uses[b] > 1 && b.Kind != qgm.KindBaseTable:
@@ -173,7 +171,7 @@ func (lw *lowerer) lowerBox(b *qgm.Box) *Node {
 	case qgm.KindBaseTable:
 		n = lw.p.newNode(OpScan, b, "scan "+b.Table.Name)
 	case qgm.KindSelect:
-		n = lw.lowerSelect(b)
+		n = lw.lowerSelect(b, nil, nil)
 	case qgm.KindGroupBy:
 		n = lw.p.newNode(OpGroupBy, b, "group-by "+boxName(b))
 		n.Detail = fmt.Sprintf("%d keys, %d aggs", len(b.GroupBy), len(b.Aggs))
@@ -214,20 +212,27 @@ func (lw *lowerer) lowerBox(b *qgm.Box) *Node {
 
 // lowerSelect lays out a select box's join pipeline: predicate staging and
 // equality-key extraction mirror the evaluator's per-box planning, but are
-// resolved once at lowering time against the optimizer's join order.
-func (lw *lowerer) lowerSelect(b *qgm.Box) *Node {
+// resolved once at lowering time against the optimizer's join order. For a
+// member of a recursive component, comp is its quantifier into the
+// component and compChild the operator reading it: comp becomes the
+// streamed stage 0 and the other quantifiers follow in deltaOrder.
+func (lw *lowerer) lowerSelect(b *qgm.Box, comp *qgm.Quantifier, compChild *Node) *Node {
 	n := lw.p.newNode(OpSelect, b, "select "+boxName(b))
 
 	var fQ, sQ, qQ []*qgm.Quantifier
 	for _, q := range b.OrderedQuantifiers() {
-		switch q.Type {
-		case qgm.ForEach:
+		switch {
+		case q == comp:
+		case q.Type == qgm.ForEach:
 			fQ = append(fQ, q)
-		case qgm.Scalar:
+		case q.Type == qgm.Scalar:
 			sQ = append(sQ, q)
 		default:
 			qQ = append(qQ, q)
 		}
+	}
+	if comp != nil {
+		fQ = deltaOrder(b, comp, fQ)
 	}
 
 	pos := map[*qgm.Quantifier]int{} // F quantifier -> position+1
@@ -283,7 +288,13 @@ func (lw *lowerer) lowerSelect(b *qgm.Box) *Node {
 		st := Stage{Quant: q}
 		preds := stagePreds[i+1]
 		childBox := q.Ranges
-		corr := lw.hasFree(childBox)
+		corr := q != comp && lw.hasFree(childBox)
+		lowerChild := func() *Node {
+			if q == comp {
+				return compChild
+			}
+			return lw.lowerBox(childBox)
+		}
 
 		// Split stage predicates into strict equality keys (one side
 		// references only q, the other only earlier stages) and residual
@@ -334,20 +345,20 @@ func (lw *lowerer) lowerSelect(b *qgm.Box) *Node {
 		case indexable:
 			st.Access = AccessIndex
 			st.Residual = residual
-			st.Child = lw.lowerBox(childBox)
+			st.Child = lowerChild()
 		case i == 0:
 			st.Access = AccessStream
 			st.Residual = preds
 			st.KeyMine, st.KeyOther = nil, nil
-			st.Child = lw.lowerBox(childBox)
+			st.Child = lowerChild()
 		case len(st.KeyMine) > 0:
 			st.Access = AccessHash
 			st.Residual = residual
-			st.Child = lw.lowerBox(childBox)
+			st.Child = lowerChild()
 		default:
 			st.Access = AccessScan
 			st.Residual = preds
-			st.Child = lw.lowerBox(childBox)
+			st.Child = lowerChild()
 		}
 		n.Stages = append(n.Stages, st)
 		n.Children = append(n.Children, st.Child)
@@ -401,6 +412,204 @@ func (lw *lowerer) lowerSelect(b *qgm.Box) *Node {
 	n.Detail = strings.Join(detail, ", ")
 	n.Vec = vectorizableSelect(n)
 	return n
+}
+
+// deltaOrder is the join order of a recursive member's pipeline: comp
+// first, then the other ForEach quantifiers in the optimizer's relative
+// order — except that each next stage is the first one an equality joins to
+// the stages already placed, when there is one. The optimizer ordered them
+// for a pipeline comp did not drive; taken as is, its order could leave a
+// cross product behind the delta.
+func deltaOrder(b *qgm.Box, comp *qgm.Quantifier, rest []*qgm.Quantifier) []*qgm.Quantifier {
+	order := []*qgm.Quantifier{comp}
+	placed := map[*qgm.Quantifier]bool{comp: true}
+	joinable := func(q *qgm.Quantifier) bool {
+		for _, pred := range b.Preds {
+			cmp, ok := pred.(*qgm.Cmp)
+			if ok && cmp.Op == datum.EQ &&
+				(refsOnly(cmp.L, q) && refsWithin(cmp.R, placed) ||
+					refsOnly(cmp.R, q) && refsWithin(cmp.L, placed)) {
+				return true
+			}
+		}
+		return false
+	}
+	for len(rest) > 0 {
+		pick := 0
+		for i, q := range rest {
+			if joinable(q) {
+				pick = i
+				break
+			}
+		}
+		q := rest[pick]
+		order = append(order, q)
+		placed[q] = true
+		rest = append(rest[:pick:pick], rest[pick+1:]...)
+	}
+	return order
+}
+
+// fixLowering is the context of lowering one linear recursive component.
+type fixLowering struct {
+	root    *qgm.Box
+	node    *Node // the OpFixpoint node
+	members map[*qgm.Box]bool
+}
+
+// lowerFixpoint lowers the fixpoint root of a recursive view. A linear
+// component (linearComponent) becomes a semi-naive fixpoint with two
+// children: the seed tree — the body with every reference to the root read
+// as empty, so recursive union branches drop out — and the delta tree — the
+// recursive branches only, each reference to the root an OpDelta leaf
+// streaming the previous round's new rows. Because every derivation reads
+// the root at most once, the rows a round derives from the whole set are
+// those of the seed plus those derived from each round's delta, so the
+// executor's loop reaches the same set as naive iteration. Any other
+// component keeps the bridge to the evaluator's naive iteration.
+func (lw *lowerer) lowerFixpoint(b *qgm.Box) *Node {
+	n := lw.p.newNode(OpFixpoint, b, "fixpoint "+boxName(b))
+	n.EstRows = lw.est.Card(b)
+	n.EstMem = n.EstRows * estWidth(b)
+	members, why := lw.linearComponent(b)
+	if why != "" {
+		n.Detail = "naive, bridged: " + why
+		return n
+	}
+	fx := &fixLowering{root: b, node: n, members: members}
+	seed := lw.lowerMember(fx, b, false)
+	if seed == nil {
+		seed = lw.p.newNode(OpUnion, nil, "empty")
+	}
+	delta := lw.lowerMember(fx, b, true)
+	seed.Label = "seed: " + seed.Label
+	delta.Label = "delta: " + delta.Label
+	n.Children = []*Node{seed, delta}
+	n.Detail = "semi-naive"
+	return n
+}
+
+// linearComponent returns the member set of root's recursive component when
+// the component is linear: every member is a select or union box, each
+// select member has exactly one quantifier into the component, of type
+// ForEach, and every cycle passes through the root. Otherwise it returns
+// why not. Members must also be closed and unlinked from magic boxes, as
+// the seed and delta trees stream them directly.
+func (lw *lowerer) linearComponent(root *qgm.Box) (map[*qgm.Box]bool, string) {
+	members := qgm.SCCBoxes(root)
+	in := make(map[*qgm.Box]bool, len(members))
+	for _, x := range members {
+		in[x] = true
+	}
+	for _, x := range members {
+		switch {
+		case lw.hasFree(x):
+			return nil, "correlated member"
+		case x.MagicBox != nil:
+			return nil, "magic-linked member"
+		case x.Kind == qgm.KindUnion:
+			continue
+		case x.Kind != qgm.KindSelect:
+			return nil, x.Kind.String() + " member"
+		}
+		refs := 0
+		for _, q := range x.Quantifiers {
+			if !in[q.Ranges] {
+				continue
+			}
+			if q.Type != qgm.ForEach {
+				return nil, "subquery over the recursion"
+			}
+			refs++
+		}
+		switch {
+		case refs == 0:
+			return nil, "no recursive reference"
+		case refs > 1:
+			return nil, "non-linear"
+		}
+	}
+	// A cycle avoiding the root would make the delta tree infinite.
+	state := map[*qgm.Box]int{} // 1 on the DFS stack, 2 done
+	var cyclic func(x *qgm.Box) bool
+	cyclic = func(x *qgm.Box) bool {
+		state[x] = 1
+		for _, q := range x.Quantifiers {
+			c := q.Ranges
+			if c == root || !in[c] || state[c] == 2 {
+				continue
+			}
+			if state[c] == 1 || cyclic(c) {
+				return true
+			}
+		}
+		state[x] = 2
+		return false
+	}
+	if cyclic(root) {
+		return nil, "cycle avoiding the root"
+	}
+	return in, ""
+}
+
+// lowerMember lowers member box b of a linear component into the seed tree
+// (delta false) or the delta tree. It returns nil for a box the seed reads
+// as empty: every derivation of it reads the root. Members lower without
+// distinct wrappers — the fixpoint's seen-set gives the whole component set
+// semantics — and exit branches (union inputs outside the component) appear
+// in the seed tree only.
+func (lw *lowerer) lowerMember(fx *fixLowering, b *qgm.Box, delta bool) *Node {
+	var n *Node
+	if b.Kind == qgm.KindUnion {
+		var kids []*Node
+		for _, q := range b.Quantifiers {
+			var c *Node
+			switch {
+			case fx.members[q.Ranges]:
+				c = lw.memberInput(fx, q.Ranges, delta)
+			case !delta:
+				c = lw.lowerBox(q.Ranges)
+			}
+			if c != nil {
+				kids = append(kids, c)
+			}
+		}
+		if len(kids) == 0 {
+			return nil
+		}
+		n = lw.p.newNode(OpUnion, b, "union "+boxName(b))
+		n.Children = kids
+	} else {
+		var comp *qgm.Quantifier
+		for _, q := range b.Quantifiers {
+			if fx.members[q.Ranges] {
+				comp = q
+			}
+		}
+		child := lw.memberInput(fx, comp.Ranges, delta)
+		if child == nil {
+			return nil
+		}
+		n = lw.lowerSelect(b, comp, child)
+	}
+	n.Fixpoint = fx.node
+	n.BoxRoot = true
+	return n
+}
+
+// memberInput lowers the input a member reads from member box c: the root
+// is an OpDelta leaf in the delta tree and empty in the seed tree; any
+// other member lowers in place.
+func (lw *lowerer) memberInput(fx *fixLowering, c *qgm.Box, delta bool) *Node {
+	if c != fx.root {
+		return lw.lowerMember(fx, c, delta)
+	}
+	if !delta {
+		return nil
+	}
+	d := lw.p.newNode(OpDelta, c, "delta "+boxName(c))
+	d.Fixpoint = fx.node
+	return d
 }
 
 // vectorizableSelect is the lowering-time vectorizability decision for a

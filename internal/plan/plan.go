@@ -51,13 +51,20 @@ const (
 	OpLimit
 	// OpTrim drops trailing hidden ORDER BY support columns.
 	OpTrim
-	// OpFixpoint evaluates a recursive view by semi-naive iteration (a
-	// pipeline breaker) and streams the fixpoint out.
+	// OpFixpoint evaluates a recursive view to its fixpoint (a pipeline
+	// breaker) and streams the set out. A linear component has two
+	// children, the seed and the delta tree, and is evaluated semi-naively:
+	// the seed once, then the delta until a round adds no row. Any other
+	// component has no children and bridges to the classic evaluator's
+	// naive iteration.
 	OpFixpoint
 	// OpBoxEval bridges to the classic evaluator: the box is materialized
 	// (and memoized when closed) rather than streamed. Used for correlated
 	// subtrees, shared common subexpressions, and extension box kinds.
 	OpBoxEval
+	// OpDelta is a leaf of a fixpoint's delta tree standing for a reference
+	// to the fixpoint root: it streams the rows the previous round added.
+	OpDelta
 )
 
 func (k OpKind) String() string {
@@ -86,6 +93,8 @@ func (k OpKind) String() string {
 		return "fixpoint"
 	case OpBoxEval:
 		return "materialize"
+	case OpDelta:
+		return "delta"
 	}
 	return "?"
 }
@@ -210,6 +219,15 @@ type Node struct {
 	// OpTrim payload.
 	Hidden int
 
+	// Fixpoint links the operators of a fixpoint's seed and delta trees
+	// that implement boxes of the recursive component, and its OpDelta
+	// leaves, to that OpFixpoint node. Such operators are re-opened every
+	// round: an OpDelta leaf streams the fixpoint's previous-round rows, a
+	// select keeps its build state over inputs outside the component across
+	// rounds, and their counters sum over rounds, so they carry no estimate
+	// and feedback learns nothing from them.
+	Fixpoint *Node
+
 	// BoxRoot marks the node that completes its box's semantics (for a
 	// DISTINCT select box that is the distinct wrapper, not the join
 	// pipeline). The executor counts BoxEvals/OutputRows and enforces the
@@ -255,6 +273,9 @@ type OpStats struct {
 	// columnar fast path this run (set by the executor at open; false when
 	// a planned vectorization fell back to the row pipeline).
 	Vectorized bool
+	// Rounds counts the rounds a semi-naive fixpoint ran, the seed round
+	// included.
+	Rounds int64
 }
 
 // newNode allocates a node registered in the plan.
@@ -310,6 +331,9 @@ func (p *Plan) Format(stats []OpStats) string {
 			}
 			if st.Spills > 0 {
 				line += fmt.Sprintf(" spills=%d spill_bytes=%d", st.Spills, st.SpillBytes)
+			}
+			if st.Rounds > 0 {
+				line += fmt.Sprintf(" rounds=%d", st.Rounds)
 			}
 		} else if n.Vec {
 			line += " [vectorizable]"
@@ -402,6 +426,8 @@ type OpReport struct {
 	// when it produced no batches).
 	Vectorized   bool
 	RowsPerBatch float64
+	// Rounds mirrors OpStats.Rounds (semi-naive fixpoints only).
+	Rounds int64
 }
 
 // Report flattens the tree (with optional per-run stats) into OpReports.
@@ -420,6 +446,7 @@ func (p *Plan) Report(stats []OpStats) []OpReport {
 			r.Spills = stats[n.ID].Spills
 			r.SpillBytes = stats[n.ID].SpillBytes
 			r.Vectorized = stats[n.ID].Vectorized
+			r.Rounds = stats[n.ID].Rounds
 			if r.Batches > 0 {
 				r.RowsPerBatch = float64(r.Rows) / float64(r.Batches)
 			}

@@ -227,9 +227,10 @@ type Box struct {
 	MagicCols []MagicCol
 
 	// Recursive marks the fixpoint root of a recursive view: the box's
-	// subtree references the box itself, and the executor evaluates it by
-	// naive iteration to a fixpoint (set semantics). Rewrite rules that
-	// would detach or duplicate the fixpoint root skip recursive boxes.
+	// subtree references the box itself, and the executor iterates it to a
+	// fixpoint with set semantics (semi-naively for linear components,
+	// naively otherwise). Rewrite rules that would detach or duplicate the
+	// fixpoint root skip recursive boxes.
 	Recursive bool
 
 	// Origin points to the box this one was copied from when EMST created

@@ -38,8 +38,12 @@ func mergeable(g *qgm.Graph, b *qgm.Box, q *qgm.Quantifier, c *qgm.Box) bool {
 	if c.Kind != qgm.KindSelect {
 		return false
 	}
-	if g.UseCount(c) > 1 {
-		return false // common subexpression: stays shared
+	if g.UseCount(c) > 1 && (len(c.Quantifiers) > 0 || len(c.Preds) > 0) {
+		// Common subexpression: stays shared. A bare row of constants (a
+		// magic box of query constants feeding several consumers) is
+		// exempt: merging it into each consumer copies expressions, never
+		// work.
+		return false
 	}
 	if c.MagicBox != nil {
 		return false // pending EMST linkage must stay visible
@@ -89,6 +93,23 @@ func mergeChild(g *qgm.Graph, b *qgm.Box, q *qgm.Quantifier, c *qgm.Box) {
 		})
 	}
 	qgm.RewriteTree(b, replace)
+
+	// Substitution can turn two predicates into one (a magic filter and
+	// the same filter pushed down from above); keep one copy.
+	kept := b.Preds[:0]
+	for _, p := range b.Preds {
+		dup := false
+		for _, k := range kept {
+			if qgm.EqualExpr(k, p) {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			kept = append(kept, p)
+		}
+	}
+	b.Preds = kept
 
 	qgm.RemoveQuantifier(q)
 	b.JoinOrder = nil

@@ -171,6 +171,11 @@ func pushInto(g *qgm.Graph, b *qgm.Box, viaQ *qgm.Quantifier, pred qgm.Expr) {
 			}
 			return nil
 		})
+		for _, have := range b.Preds {
+			if qgm.EqualExpr(have, mapped) {
+				return // already enforced (e.g. an EMST-seeded exit branch)
+			}
+		}
 		b.Preds = append(b.Preds, mapped)
 		return
 	}
