@@ -55,8 +55,8 @@ bench:
 # histogram-probe costs plus the skewed plan-pick A/B, WAL commit latency
 # (per-commit fsync vs group commit) and recovery speed per MB of log, and
 # Table-1 experiments (ns/op + allocs/op) written to $(BENCH_OUT).
-# Override per PR: make bench-json BENCH_OUT=BENCH_11.json
-BENCH_OUT ?= BENCH_10.json
+# Override per change: make bench-json BENCH_OUT=BENCH_15.json
+BENCH_OUT ?= BENCH_14.json
 bench-json:
 	$(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 

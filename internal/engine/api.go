@@ -387,10 +387,7 @@ func (db *Database) prepareCold(ctx context.Context, query string, cfg queryConf
 	explain.UsedEMST = info.UsedEMST
 	explain.PlansConsidered = info.PlansConsidered
 	explain.JoinOrders = joinOrders(g)
-	if phys != nil {
-		explain.Physical = phys.String()
-		explain.Operators = phys.Report(nil)
-	}
+	explain.phys = phys
 	if cfg.snapshots {
 		explain.PlanDOT = g.DumpDOT("executed plan")
 	}

@@ -37,11 +37,6 @@ type ExplainInfo struct {
 	// JoinOrders lists the chosen quantifier order per multi-quantifier
 	// select box of the executed plan.
 	JoinOrders []JoinOrder
-	// Physical renders the lowered physical operator tree (cardinality
-	// estimates only — per-operator execution counters appear on
-	// Result.Plan.Physical() after a run); Operators is the structured form.
-	Physical  string
-	Operators []plan.OpReport
 	// PlanDOT is the Graphviz rendering of the executed plan (captured with
 	// the snapshots).
 	PlanDOT string
@@ -56,6 +51,28 @@ type ExplainInfo struct {
 	// catalog epoch the plan is valid for.
 	CacheStatus string
 	CacheEpoch  uint64
+
+	// phys is the lowered physical plan, kept raw so that Physical and
+	// Operators render only when read; a cached plan holds no text.
+	phys *plan.Plan
+}
+
+// Physical renders the lowered physical operator tree with cardinality
+// estimates only (per-operator execution counters appear on
+// Result.Plan.Physical() after a run). The text is built on each call.
+func (e *ExplainInfo) Physical() string {
+	if e.phys == nil {
+		return ""
+	}
+	return e.phys.String()
+}
+
+// Operators is the structured form of Physical, built on each call.
+func (e *ExplainInfo) Operators() []plan.OpReport {
+	if e.phys == nil {
+		return nil
+	}
+	return e.phys.Report(nil)
 }
 
 // PhaseInfo is one pipeline phase: its wall-clock and, for rewrite phases
@@ -143,9 +160,9 @@ func (e *ExplainInfo) String() string {
 			fmt.Fprintf(&sb, "  %s: %s\n", jo.Box, strings.Join(jo.Order, " "))
 		}
 	}
-	if e.Physical != "" {
+	if phys := e.Physical(); phys != "" {
 		sb.WriteString("physical plan:\n")
-		for _, line := range strings.Split(strings.TrimRight(e.Physical, "\n"), "\n") {
+		for _, line := range strings.Split(strings.TrimRight(phys, "\n"), "\n") {
 			sb.WriteString("  " + line + "\n")
 		}
 	}

@@ -5,8 +5,9 @@ package engine
 // plan-cache entry. When the worst estimate-vs-actual q-error crosses
 // qErrorThreshold, the entry is marked and the next prepare of the same
 // statement re-optimizes it with the observed cardinalities injected as
-// estimates (opt.Estimator.Hints, keyed by QGM box name — deterministic
-// across re-plans of the same SQL). This is the adaptive half of the paper's
+// estimates (opt.Estimator.Hints, keyed by opt.HintKey: the QGM box name —
+// deterministic across re-plans of the same SQL — plus the adornment of an
+// EMST copy). This is the adaptive half of the paper's
 // §3.2 cost comparison: the magic-vs-no-magic choice hinges on selectivities,
 // and where histograms still mis-estimate (cross-column correlation,
 // parameter-dependent skew) the observed cardinalities correct the model.
@@ -14,6 +15,7 @@ package engine
 import (
 	"sync"
 
+	"starmagic/internal/opt"
 	"starmagic/internal/plan"
 )
 
@@ -118,7 +120,7 @@ func (fb *feedbackState) takeReopt() bool {
 	return true
 }
 
-// hints renders the learned cardinalities as box-name → rows for estimator
+// hints renders the learned cardinalities as box key → rows for estimator
 // injection: the smoothed actual of each named box's root operator, layered
 // over the hints inherited from earlier re-optimizations (fresh observations
 // win). Box names are assigned deterministically during binding and rewrite,
@@ -138,7 +140,7 @@ func (fb *feedbackState) hints(p *plan.Plan) map[string]float64 {
 			continue
 		}
 		if n.ID < len(fb.ema) && fb.ema[n.ID] >= 0 {
-			out[n.Box.Name] = fb.ema[n.ID]
+			out[opt.HintKey(n.Box)] = fb.ema[n.ID]
 		}
 	}
 	return out

@@ -239,11 +239,11 @@ func TestExplainPhysicalTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Physical == "" || len(info.Operators) == 0 {
+	if info.Physical() == "" || len(info.Operators()) == 0 {
 		t.Fatal("ExplainContext has no physical plan")
 	}
-	if !strings.Contains(info.Physical, "scan") {
-		t.Fatalf("physical plan missing scan operator:\n%s", info.Physical)
+	if !strings.Contains(info.Physical(), "scan") {
+		t.Fatalf("physical plan missing scan operator:\n%s", info.Physical())
 	}
 	if !strings.Contains(info.String(), "physical plan:") {
 		t.Fatal("ExplainInfo.String() missing physical plan section")

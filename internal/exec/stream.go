@@ -8,8 +8,10 @@
 // The operators reuse the classic evaluator's machinery — expression
 // evaluation, subquery memoization, partitioned parallel hash build, closed
 // -subtree prefetch, the shared box memo — so a plan mixing streamed
-// operators with box-eval bridges (correlated or shared subtrees, extension
+// operators with box-eval bridges (correlated subtrees, extension
 // kinds, non-linear recursion) stays consistent with box-at-a-time results.
+// Shared boxes are spooled: drained once per execution into the same memo
+// the bridges read, and replayed to every consumer.
 package exec
 
 import (
@@ -220,6 +222,8 @@ func (r *planRun) build(n *plan.Node) operator {
 		}
 	case plan.OpDelta:
 		op = &deltaOp{r: r, n: n}
+	case plan.OpSpool:
+		op = &spoolOp{r: r, n: n}
 	default:
 		op = &boxEvalOp{r: r, n: n}
 	}
@@ -232,8 +236,14 @@ func (r *planRun) build(n *plan.Node) operator {
 // streamed and bridged parts of a plan is still done once.
 func (r *planRun) materialize(n *plan.Node) ([]datum.Row, error) {
 	ev := r.ev
-	if n.Kind == plan.OpBoxEval || (n.Kind == plan.OpFixpoint && len(n.Children) == 0) {
-		rows, err := ev.EvalBox(n.Box, ev.rootEnv())
+	if n.Kind == plan.OpBoxEval || n.Kind == plan.OpSpool || (n.Kind == plan.OpFixpoint && len(n.Children) == 0) {
+		var rows []datum.Row
+		var err error
+		if n.Kind == plan.OpSpool {
+			rows, err = r.materialize(n.Children[0])
+		} else {
+			rows, err = ev.EvalBox(n.Box, ev.rootEnv())
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -384,7 +394,36 @@ func (s *scanOp) close() error {
 	return nil
 }
 
-// boxEvalOp bridges to the classic evaluator: OpBoxEval (correlated, shared,
+// spoolOp reads a shared box. The first open in an execution drains the
+// body through the streaming executor (materialize: the vectorized path
+// where the body qualifies) into the evaluator's box memo, which charges it
+// to the memory budget; every open replays the memoized rows. As with the
+// bridge it replaces, a charge the budget denies leaves the rows unmemoized
+// and the next reader drains the body again, and tuple-at-a-time mode
+// (NoSubqueryCache) drains it per reader, so Counters match the bridge's.
+type spoolOp struct {
+	r   *planRun
+	n   *plan.Node
+	out rowStream
+}
+
+func (s *spoolOp) open() error {
+	rows, err := s.r.materialize(s.n.Children[0])
+	if err != nil {
+		return err
+	}
+	s.out.reset(rows)
+	return nil
+}
+
+func (s *spoolOp) next() ([]datum.Row, error) { return s.out.nextBatch(), nil }
+
+func (s *spoolOp) close() error {
+	s.out.reset(nil)
+	return nil
+}
+
+// boxEvalOp bridges to the classic evaluator: OpBoxEval (correlated,
 // extension) and childless OpFixpoint (non-linear recursion) nodes
 // materialize through EvalBox — which handles memoization and naive
 // fixpoint iteration — and stream the result out in batches. All Counters

@@ -18,6 +18,7 @@ package exec
 
 import (
 	"fmt"
+	"sync"
 
 	"starmagic/internal/datum"
 	"starmagic/internal/plan"
@@ -513,6 +514,7 @@ type vecSelectOp struct {
 	visPos     int
 	sel        vec.Sel
 	selPos     int
+	scratch    *vecScratch // selA, selB and tvs come from it
 	selA, selB vec.Sel
 	tvs        []datum.TV
 	cur        int
@@ -563,12 +565,28 @@ func (r *planRun) tryVecSelect(n *plan.Node) operator {
 	if o.projSrcs == nil {
 		o.alwaysBind = true
 	}
-	o.selA = make(vec.Sel, 0, vecBatch)
-	o.selB = make(vec.Sel, 0, vecBatch)
-	o.tvs = make([]datum.TV, vecBatch)
+	o.scratch = vecScratchPool.Get().(*vecScratch)
+	o.selA, o.selB, o.tvs = o.scratch.selA, o.scratch.selB, o.scratch.tvs
 	o.out = make([]datum.Row, 0, streamBatch)
 	return o
 }
+
+// vecScratch is the selection and truth-value scratch of one vectorized
+// select. It never leaves the operator, so close hands it back to
+// vecScratchPool for the next run instead of every run allocating its own.
+// (The output batch does leave: a consumer may still hold it after close.)
+type vecScratch struct {
+	selA, selB vec.Sel
+	tvs        []datum.TV
+}
+
+var vecScratchPool = sync.Pool{New: func() any {
+	return &vecScratch{
+		selA: make(vec.Sel, 0, vecBatch),
+		selB: make(vec.Sel, 0, vecBatch),
+		tvs:  make([]datum.TV, vecBatch),
+	}
+}}
 
 // compileProj compiles the projection to a plain column gather when every
 // output expression is a ColRef of a bound quantifier; otherwise emission
@@ -1074,33 +1092,63 @@ func (o *vecSelectOp) buildStage(vs *vecStage) error {
 	o.ev.Counters.HashBuilds++
 	vs.rows = rows
 	single := len(vs.keyOrds) == 1
+	var words []uint64 // one key column
+	var keys []vec.Key // several
 	if single {
-		vs.ht1 = make(map[uint64][]int32, len(rows))
+		words = make([]uint64, len(rows))
 	} else {
-		vs.htN = make(map[vec.Key][]int32, len(rows))
+		keys = make([]vec.Key, len(rows))
 	}
+	null := make([]bool, len(rows)) // equality never matches NULL
 	for j, row := range rows {
-		var key vec.Key
-		null := false
 		for p, ord := range vs.keyOrds {
 			d := row[ord]
 			if d.IsNull() {
-				null = true
+				null[j] = true
 				break
 			}
-			key.V[p] = o.buildWord(d)
+			if single {
+				words[j] = o.buildWord(d)
+			} else {
+				keys[j].V[p] = o.buildWord(d)
+			}
 		}
-		if null {
-			continue // equality never matches NULL
-		}
-		if single {
-			vs.ht1[key.V[0]] = append(vs.ht1[key.V[0]], int32(j))
-		} else {
-			vs.htN[key] = append(vs.htN[key], int32(j))
-		}
+	}
+	if single {
+		vs.ht1 = buckets(words, null)
+	} else {
+		vs.htN = buckets(keys, null)
 	}
 	vs.built = true
 	return nil
+}
+
+// buckets groups the positions of the rows not marked null by key, in row
+// order within each key. It counts each key's rows first and carves every
+// bucket out of one slab, so a build costs one allocation for all buckets
+// instead of a doubling slice per key.
+func buckets[K comparable](keys []K, null []bool) map[K][]int32 {
+	counts := map[K]int32{}
+	n := 0
+	for j, k := range keys {
+		if !null[j] {
+			counts[k]++
+			n++
+		}
+	}
+	ht := make(map[K][]int32, len(counts))
+	slab := make([]int32, n)
+	off := 0
+	for k, c := range counts {
+		ht[k] = slab[off : off : off+int(c)]
+		off += int(c)
+	}
+	for j, k := range keys {
+		if !null[j] {
+			ht[k] = append(ht[k], int32(j))
+		}
+	}
+	return ht
 }
 
 // buildWord normalizes one non-NULL build-side key datum.
@@ -1305,6 +1353,12 @@ func (o *vecSelectOp) next() ([]datum.Row, error) {
 }
 
 func (o *vecSelectOp) close() error {
+	if sc := o.scratch; sc != nil {
+		// The run swaps selA and selB; either way round both are scratch.
+		sc.selA, sc.selB = o.selA[:0], o.selB[:0]
+		vecScratchPool.Put(sc)
+		o.scratch, o.selA, o.selB, o.tvs = nil, nil, nil, nil
+	}
 	o.rows = nil
 	o.sel = nil
 	o.out = nil

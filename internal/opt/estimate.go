@@ -32,10 +32,11 @@ const (
 // predicate selectivities over a QGM graph, memoized per box.
 type Estimator struct {
 	card map[*qgm.Box]float64
-	// Hints maps box names (qgm.Box.Name, deterministic across re-plans of
-	// the same SQL) to observed output cardinalities from execution
-	// feedback. A hinted box's Card is the observed value, overriding the
-	// statistical estimate — this is how re-optimization injects actuals.
+	// Hints maps box keys (HintKey: the box name, deterministic across
+	// re-plans of the same SQL, plus the adornment of an EMST copy) to
+	// observed output cardinalities from execution feedback. A hinted box's
+	// Card is the observed value, overriding the statistical estimate — this
+	// is how re-optimization injects actuals.
 	Hints map[string]float64
 	// NoHist disables histogram probes, reverting to the flat defaults
 	// (defaultNDVFrac and the fixed comparison selectivities). Used for
@@ -61,6 +62,17 @@ func NewEstimatorWith(hints map[string]float64, noHist bool) *Estimator {
 	return &Estimator{card: map[*qgm.Box]float64{}, Hints: hints, NoHist: noHist}
 }
 
+// HintKey is the key a box's feedback cardinality is filed under: its name,
+// plus the adornment of an EMST adorned copy. The copy keeps its origin's
+// name but computes a magic-restricted subset of it, so an observation of
+// the copy must not stand for the unrestricted box in a re-planned graph.
+func HintKey(b *qgm.Box) string {
+	if b.Adornment == "" {
+		return b.Name
+	}
+	return b.Name + " ^" + b.Adornment
+}
+
 // Card estimates the output cardinality of a box.
 func (e *Estimator) Card(b *qgm.Box) float64 {
 	if c, ok := e.card[b]; ok {
@@ -69,7 +81,7 @@ func (e *Estimator) Card(b *qgm.Box) float64 {
 	e.card[b] = 1 // cycle guard; QGM graphs are acyclic but be safe
 	c, hinted := 0.0, false
 	if e.Hints != nil && b.Name != "" {
-		c, hinted = e.Hints[b.Name]
+		c, hinted = e.Hints[HintKey(b)]
 	}
 	if !hinted {
 		c = e.cardNow(b)

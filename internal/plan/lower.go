@@ -13,11 +13,11 @@ import (
 // an operator subtree; select boxes consume the optimizer's JoinOrder to lay
 // out pipeline stages with explicit access paths. A recursive view whose
 // component is linear lowers to a semi-naive fixpoint over seed and delta
-// trees (see lowerFixpoint). Boxes the streaming executor cannot (or should
-// not) stream — correlated subtrees, shared common subexpressions,
-// extension kinds, non-linear recursion — lower to bridge operators that
-// evaluate through the classic box-at-a-time evaluator, so every graph the
-// evaluator accepts has a plan.
+// trees (see lowerFixpoint), and a closed box with more than one consumer
+// to one spool node every consumer shares (see spool). Boxes the streaming
+// executor cannot stream — correlated subtrees, extension kinds, non-linear
+// recursion — lower to bridge operators that evaluate through the classic
+// box-at-a-time evaluator, so every graph the evaluator accepts has a plan.
 func Lower(g *qgm.Graph) *Plan {
 	return LowerWith(g, opt.NewEstimator())
 }
@@ -32,6 +32,7 @@ func LowerWith(g *qgm.Graph, est *opt.Estimator) *Plan {
 		uses:      map[*qgm.Box]int{},
 		freeCache: map[*qgm.Box]bool{},
 		visiting:  map[*qgm.Box]bool{},
+		spools:    map[*qgm.Box]*Node{},
 	}
 	for _, b := range g.Boxes {
 		for _, q := range b.Quantifiers {
@@ -79,6 +80,8 @@ type lowerer struct {
 	uses      map[*qgm.Box]int
 	freeCache map[*qgm.Box]bool
 	visiting  map[*qgm.Box]bool
+	// spools holds the spool node of each shared box lowered so far.
+	spools map[*qgm.Box]*Node
 }
 
 // hasFree reports whether b's subtree references quantifiers declared
@@ -161,8 +164,29 @@ func (lw *lowerer) lowerBox(b *qgm.Box) *Node {
 	case lw.hasFree(b):
 		return lw.bridge(b, "correlated")
 	case lw.uses[b] > 1 && b.Kind != qgm.KindBaseTable:
-		return lw.bridge(b, "shared")
+		return lw.spool(b)
 	}
+	return lw.lowerBody(b)
+}
+
+// spool returns the spool node of shared box b, lowering b's body under it
+// at the first reference; later references get the same node. Members of a
+// recursive component never come here (lowerMember lowers them in place,
+// once per reference and round), so a spooled body is constant within an
+// execution.
+func (lw *lowerer) spool(b *qgm.Box) *Node {
+	if n := lw.spools[b]; n != nil {
+		return n
+	}
+	n := lw.p.newNode(OpSpool, b, "spool "+boxName(b))
+	n.Children = []*Node{lw.lowerBody(b)}
+	lw.spools[b] = n
+	return n
+}
+
+// lowerBody lowers box b itself into an operator subtree whose root
+// completes the box's semantics (BoxRoot).
+func (lw *lowerer) lowerBody(b *qgm.Box) *Node {
 	lw.visiting[b] = true
 	defer delete(lw.visiting, b)
 
@@ -322,6 +346,11 @@ func (lw *lowerer) lowerSelect(b *qgm.Box, comp *qgm.Quantifier, compChild *Node
 			}
 		}
 
+		// An index probe needs an index over exactly the key columns.
+		// Without one, stage 0 streams with its equalities as filters and
+		// a later stage hash-joins; the executor's downgrade of an index
+		// stage is only the fallback for a store that lacks an index its
+		// catalog declares.
 		indexable := len(st.KeyMine) > 0 && childBox.Kind == qgm.KindBaseTable
 		if indexable {
 			for _, m := range st.KeyMine {
@@ -332,7 +361,8 @@ func (lw *lowerer) lowerSelect(b *qgm.Box, comp *qgm.Quantifier, compChild *Node
 				}
 				st.IndexCols = append(st.IndexCols, cr.Ord)
 			}
-			if !indexable {
+			if !indexable || childBox.Table == nil || !childBox.Table.HasIndex(st.IndexCols) {
+				indexable = false
 				st.IndexCols = nil
 			}
 		}

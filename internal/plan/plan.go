@@ -3,10 +3,11 @@
 // order the plan optimizer recorded in Box.JoinOrder — into a typed operator
 // tree: scans, join-pipeline stages with explicit access paths, semi/anti
 // subquery checks, group-by, set operations, distinct, sort, limit, and the
-// recursive fixpoint. The streaming executor (internal/exec) interprets the
-// tree with an Open/Next/Close iterator protocol over small row batches;
-// shapes the lowering cannot stream fall back to a box-eval bridge operator
-// that materializes through the classic evaluator.
+// recursive fixpoint, and spools over shared common subexpressions. The
+// streaming executor (internal/exec) interprets the tree with an
+// Open/Next/Close iterator protocol over small row batches; shapes the
+// lowering cannot stream fall back to a box-eval bridge operator that
+// materializes through the classic evaluator.
 //
 // The split mirrors the architecture transformation-based optimizers assume
 // (a logical rewrite graph above an explicit physical operator tree) and is
@@ -16,6 +17,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -60,11 +62,18 @@ const (
 	OpFixpoint
 	// OpBoxEval bridges to the classic evaluator: the box is materialized
 	// (and memoized when closed) rather than streamed. Used for correlated
-	// subtrees, shared common subexpressions, and extension box kinds.
+	// subtrees and extension box kinds.
 	OpBoxEval
 	// OpDelta is a leaf of a fixpoint's delta tree standing for a reference
 	// to the fixpoint root: it streams the rows the previous round added.
 	OpDelta
+	// OpSpool reads a closed box with more than one consumer (EMST's
+	// supplementary-magic boxes, above all). Its one child is the box's
+	// body; the first open in an execution drains it into the memo, and
+	// every open replays the memoized rows. The node is shared: each
+	// consumer of the box references the same OpSpool node, so the plan is
+	// a DAG and the body is lowered once.
+	OpSpool
 )
 
 func (k OpKind) String() string {
@@ -95,6 +104,8 @@ func (k OpKind) String() string {
 		return "materialize"
 	case OpDelta:
 		return "delta"
+	case OpSpool:
+		return "spool"
 	}
 	return "?"
 }
@@ -180,7 +191,9 @@ type Subquery struct {
 
 // Node is one physical operator. The tree is immutable after lowering; all
 // per-execution state (iterators, hash tables, counters) lives in the
-// executor, keyed by Node.ID.
+// executor, keyed by Node.ID. An OpSpool node is the one node with more than
+// one parent: its OpStats sum over its readers, and it carries no estimate
+// of its own (its body's root does).
 type Node struct {
 	ID   int
 	Kind OpKind
@@ -288,8 +301,12 @@ func (p *Plan) newNode(kind OpKind, box *qgm.Box, label string) *Node {
 // Format renders the operator tree. With stats (one entry per node, from an
 // execution) each line carries actual rows/batches/time; with nil stats the
 // estimates alone are shown.
+//
+// A spool is rendered in full where it is first reached; later references
+// print as one line marked "reused", without counters or children.
 func (p *Plan) Format(stats []OpStats) string {
 	var sb strings.Builder
+	var shown []*Node // spools rendered so far
 	var walk func(n *Node, prefix string, last bool, top bool)
 	walk = func(n *Node, prefix string, last bool, top bool) {
 		line := prefix
@@ -304,6 +321,13 @@ func (p *Plan) Format(stats []OpStats) string {
 			}
 		}
 		line += n.Label
+		if n.Kind == OpSpool {
+			if slices.Contains(shown, n) {
+				sb.WriteString(line + " [reused]\n")
+				return
+			}
+			shown = append(shown, n)
+		}
 		if n.Detail != "" {
 			line += " [" + n.Detail + "]"
 		}
@@ -428,16 +452,30 @@ type OpReport struct {
 	RowsPerBatch float64
 	// Rounds mirrors OpStats.Rounds (semi-naive fixpoints only).
 	Rounds int64
+	// Reused marks a later reference to a spool reported earlier in the
+	// list: it has no counters and no children of its own.
+	Reused bool
 }
 
-// Report flattens the tree (with optional per-run stats) into OpReports.
+// Report flattens the tree (with optional per-run stats) into OpReports. A
+// spool is reported with its counters and body where it is first reached,
+// and as a Reused entry at every later reference.
 func (p *Plan) Report(stats []OpStats) []OpReport {
 	var out []OpReport
+	var shown []*Node // spools reported so far
 	var walk func(n *Node, depth int)
 	walk = func(n *Node, depth int) {
 		r := OpReport{
 			ID: n.ID, Depth: depth, Kind: n.Kind.String(),
 			Label: n.Label, Detail: n.Detail, EstRows: n.EstRows,
+		}
+		if n.Kind == OpSpool {
+			if slices.Contains(shown, n) {
+				r.Reused = true
+				out = append(out, r)
+				return
+			}
+			shown = append(shown, n)
 		}
 		if stats != nil && n.ID < len(stats) {
 			r.Rows = stats[n.ID].Rows
